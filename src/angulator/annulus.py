@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .disk import (
@@ -222,7 +223,9 @@ class AnnulusAngulation:
     def bridges(self) -> list[Bridge]:
         return [a for a in self.arcs if isinstance(a, Bridge)]
 
-    def violations(self) -> list[str]:
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        # the object is immutable, so it is checked at most once
         out = []
         for a in self.arcs:
             if not self.config.is_m_diagonal(a):
@@ -234,51 +237,80 @@ class AnnulusAngulation:
             out.append(f"{len(self.arcs)} arcs, expected {self.config.rank}")
         if not self.bridges():
             out.append("no bridge present")
-        return out
+        return tuple(out)
+
+    def violations(self) -> list[str]:
+        return list(self._problems)
 
     def is_valid(self) -> bool:
-        return not self.violations()
+        return not self._problems
 
     def _require_valid(self):
-        problems = self.violations()
-        if problems:
-            raise InvalidAngulation("; ".join(problems))
+        if self._problems:
+            raise InvalidAngulation("; ".join(self._problems))
 
     def rebased(self) -> "AnnulusAngulation":
-        """Equivalent angulation with minimum bridge winding zero."""
+        """Equivalent angulation with minimum bridge winding zero: itself
+        when it is one already, so that what it has cached is kept."""
         shift = -min(b.winding for b in self.bridges())
+        if shift == 0:
+            return self
         return AnnulusAngulation(
             self.config, [self.config.rebase(a, shift) for a in self.arcs]
         )
 
-    def _cut(self, ref: Bridge | None = None) -> "BridgeCut":
-        return BridgeCut(self.config, ref or min(self.bridges(), key=arc_sort_key))
+    @cached_property
+    def _views(self) -> dict[Bridge, "CutView"]:
+        return {}
+
+    def _view(self, ref: Bridge) -> "CutView":
+        """The angulation cut open along ``ref``, built once per bridge."""
+        view = self._views.get(ref)
+        if view is None:
+            self._require_valid()
+            cut = BridgeCut(self.config, ref)
+            diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
+            view = CutView(cut, diagonal, DiskAngulation(cut.disk, diagonal.values()))
+            self._views[ref] = view
+        return view
 
     def faces(self, ref: Bridge | None = None) -> list[Face]:
         """The p+q cells, computed by cutting open along a bridge of the
         angulation; the result does not depend on the bridge chosen."""
         self._require_valid()
-        cut = self._cut(ref)
-        disk_ang = DiskAngulation(
-            cut.disk, [cut.to_disk(a) for a in self.arcs if a != cut.bridge]
-        )
-        return [cut.face_back(f) for f in disk_ang.faces()]
+        return list(self._view(ref or self.bridges()[0]).faces)
 
-    def flip(self, x: ArcClass) -> "AnnulusAngulation":
-        """Replace x by the clockwise-next arc completing the rest."""
+    def _flip_view(self, x: ArcClass) -> "CutView":
+        """The view flip(x) works in: cut along the least other bridge."""
         if x not in self.arcs:
             raise NotInAngulation(f"{x} not in angulation")
         self._require_valid()
         others = [b for b in self.bridges() if b != x]
         if not others:
             raise InvalidAngulation("no bridge left to cut along")
-        cut = self._cut(min(others, key=arc_sort_key))
-        disk_ang = DiskAngulation(
-            cut.disk, [cut.to_disk(a) for a in self.arcs if a != cut.bridge]
-        )
-        new_diag = disk_ang.twist(cut.to_disk(x))
-        keep = [a for a in self.arcs if a != x]
-        return AnnulusAngulation(self.config, keep + [cut.from_disk(new_diag)])
+        return self._view(others[0])
+
+    def flip(self, x: ArcClass) -> "AnnulusAngulation":
+        """Replace x by the clockwise-next arc completing the rest.
+
+        The cut the flip works in stays a cut of the result, which takes
+        it over with the flipped disk angulation.
+        """
+        view = self._flip_view(x)
+        d = view.diagonal[x]
+        new_diag = view.disk.twist(d)
+        new = view.cut.from_disk(new_diag)
+        out = AnnulusAngulation(self.config, [a for a in self.arcs if a != x] + [new])
+        diagonal = {a: e for a, e in view.diagonal.items() if a != x}
+        diagonal[new] = new_diag
+        out._views[view.cut.bridge] = CutView(view.cut, diagonal, view.disk.flip(d))
+        return out
+
+    def can_flip(self, x: ArcClass) -> bool:
+        """False iff flip(x) raises UnsupportedFlip, decided without
+        building the flipped angulation."""
+        view = self._flip_view(x)
+        return not view.cut.encloses(view.disk.twist(view.diagonal[x]))
 
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per arc (canonical order).
@@ -444,19 +476,25 @@ class BridgeCut:
             self.disk.sides - offset - arc.span, self.disk.sides - offset
         )
 
+    def encloses(self, diag: Diagonal) -> bool:
+        """True iff diag joins the two copies of a cut endpoint: the loop
+        arc it stands for encloses a boundary, outside the arc model."""
+        top_max = self.cfg.outer_len + 1
+        return diag in (Diagonal(1, top_max), Diagonal(top_max + 1, self.disk.sides))
+
     def from_disk(self, diag: Diagonal) -> ArcClass:
         """Annulus arc of a disk diagonal; raises UnsupportedFlip for the
         two diagonals joining the copies of a cut endpoint (loop arcs)."""
         cfg = self.cfg
         top_max = cfg.outer_len + 1
         if diag.b <= top_max:
-            if diag == Diagonal(1, top_max):
+            if self.encloses(diag):
                 raise UnsupportedFlip(
                     "arc would enclose the inner boundary (outside the model)"
                 )
             return OuterChord(self.outer_label(diag.a), diag.b - diag.a)
         if diag.a >= top_max + 1:
-            if diag == Diagonal(top_max + 1, self.disk.sides):
+            if self.encloses(diag):
                 raise UnsupportedFlip(
                     "arc would enclose the outer boundary (outside the model)"
                 )
@@ -493,6 +531,22 @@ class BridgeCut:
             tuple(self.vertex_back(v) for v in face.vertices),
             tuple(self.side_back(s) for s in face.sides),
         )
+
+
+class CutView:
+    """An angulation cut open along one of its bridges: the cut, the disk
+    diagonal of every other arc, and the disk angulation they form."""
+
+    # a plain class: a frozen dataclass costs about 1 ms at every import
+    def __init__(self, cut: BridgeCut, diagonal: dict[ArcClass, Diagonal],
+                 disk: DiskAngulation):
+        self.cut = cut
+        self.diagonal = diagonal
+        self.disk = disk
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        return tuple(self.cut.face_back(f) for f in self.disk.faces())
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,10 @@ def _load_angulation(data: dict):
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(EXIT_BAD_JSON, f"malformed angulation JSON: {exc}")
-    problems = angulation.violations()
+    try:
+        problems = angulation.violations()
+    except IndexError as exc:  # a boundary vertex beyond the polygon
+        raise CliError(EXIT_RANGE, str(exc))
     if problems:
         raise CliError(EXIT_INVALID, "invalid angulation: " + "; ".join(problems))
     return angulation
@@ -168,8 +171,24 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option value."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    guard = int(os.environ.get("ANGULATOR_GUARD", DEFAULT_GUARD))
+    # a string default goes through _count only when the option is absent,
+    # so a malformed ANGULATOR_GUARD is a usage error of the command using it
+    guard = os.environ.get("ANGULATOR_GUARD", str(DEFAULT_GUARD))
+    guard_help = "enumeration guard (default: $ANGULATOR_GUARD, else 12)"
     parser = argparse.ArgumentParser(
         prog="angulator",
         description="Colored quiver mutation and (m+2)-angulation models.",
@@ -203,16 +222,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sides", type=int, required=True)
     p.add_argument("--dot", help="write the flip graph as DOT to this path")
-    p.add_argument("--guard", type=int, default=guard)
+    p.add_argument("--guard", type=_count, default=guard, help=guard_help)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run theorem-checking suites")
     p.add_argument("--suite", choices=("all", "compat", "counts", "cut"),
                    default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=500,
+    p.add_argument("--steps", type=_count, default=500,
                    help="random-walk length (also scales trial counts)")
-    p.add_argument("--guard", type=int, default=guard)
+    p.add_argument("--guard", type=_count, default=guard, help=guard_help)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -142,7 +142,9 @@ class DiskAngulation:
     def __repr__(self):
         return "".join(map(repr, self.diagonals)) or "(empty)"
 
-    def violations(self) -> list[str]:
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        # the object is immutable, so it is checked at most once
         out = []
         for d in self.diagonals:
             if not self.config.is_m_diagonal(d.a, d.b):
@@ -154,42 +156,56 @@ class DiskAngulation:
             out.append(
                 f"{len(self.diagonals)} diagonals, expected {self.config.rank}"
             )
-        return out
+        return tuple(out)
+
+    def violations(self) -> list[str]:
+        return list(self._problems)
 
     def is_valid(self) -> bool:
-        return not self.violations()
+        return not self._problems
 
     def _require_valid(self):
-        problems = self.violations()
-        if problems:
-            raise InvalidAngulation("; ".join(problems))
+        if self._problems:
+            raise InvalidAngulation("; ".join(self._problems))
+
+    def _face(self, cycle: Sequence[int]) -> Face:
+        S = self.config.sides
+        sides = [
+            Edge(u, v) if v == u % S + 1 else Diagonal(u, v)
+            for u, v in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        return Face(tuple(cycle), tuple(sides))
 
     @cached_property
     def _faces(self) -> tuple[Face, ...]:
-        self._require_valid()
-        S = self.config.sides
-        cycle = list(range(1, S + 1))
+        # the public callers check validity, because flip() sets this
+        # directly for its result
+        cycle = list(range(1, self.config.sides + 1))
         chords = [frozenset((d.a, d.b)) for d in self.diagonals]
-        out = []
-        for region in split_regions(cycle, chords):
-            sides = []
-            for u, v in zip(region, region[1:] + region[:1]):
-                if v == u % S + 1:
-                    sides.append(Edge(u, v))
-                else:
-                    sides.append(Diagonal(u, v))
-            out.append(Face(tuple(region), tuple(sides)))
-        return tuple(out)
+        return tuple(map(self._face, split_regions(cycle, chords)))
 
     def faces(self) -> list[Face]:
-        """The r+1 cells, each an (m+2)-gon with sides in clockwise order."""
+        """The r+1 cells, each an (m+2)-gon with sides in clockwise order;
+        the list order and each cell's first vertex are not fixed."""
+        self._require_valid()
         return list(self._faces)
+
+    @cached_property
+    def _faces_at(self) -> dict[Diagonal, list[Face]]:
+        """The faces on either side of each diagonal."""
+        out = {d: [] for d in self.diagonals}
+        for face in self._faces:
+            for side in face.sides:
+                if side in out:
+                    out[side].append(face)
+        return out
 
     def merged_region(self, d: Diagonal) -> tuple[int, ...]:
         """Vertex cycle of the (2m+2)-gon around d, clockwise."""
         if d not in self.diagonals:
             raise NotInAngulation(f"{d} not in angulation")
-        adjacent = [f for f in self._faces if d in f.sides]
+        self._require_valid()
+        adjacent = self._faces_at[d]
         assert len(adjacent) == 2, "a diagonal borders exactly two faces"
         verts = sorted(set(adjacent[0].vertices) | set(adjacent[1].vertices))
         return tuple(verts)
@@ -199,14 +215,29 @@ class DiskAngulation:
         return region_twist(self.merged_region(d), d, self.config.m)
 
     def flip(self, d: Diagonal) -> "DiskAngulation":
-        """Replace d by its twist."""
-        new = self.twist(d)
-        return DiskAngulation(
+        """Replace d by its twist.
+
+        Only the two faces beside d change: the twist splits their union
+        the other way.  The result takes the other faces over as they are.
+        """
+        region = list(self.merged_region(d))
+        new = region_twist(region, d, self.config.m)
+        out = DiskAngulation(
             self.config, [e for e in self.diagonals if e != d] + [new]
         )
+        i, j = region.index(new.a), region.index(new.b)
+        halves = (
+            self._face(region[i : j + 1]),
+            self._face(region[j:] + region[: i + 1]),
+        )
+        a, b = self._faces_at[d]
+        kept = tuple(f for f in self._faces if f is not a and f is not b)
+        out.__dict__["_faces"] = kept + halves  # fills the cached property
+        return out
 
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal (canonical order)."""
+        self._require_valid()
         return quiver_from_faces(
             self.config.m, order or self.diagonals, self._faces
         )

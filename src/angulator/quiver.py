@@ -140,36 +140,41 @@ class ColoredQuiver:
         (mod m + 1); other pairs follow the max{0, ...} exchange count.
         The incident shift is the one under which flips of angulations
         commute with mutation; it agrees with the three-step procedure.
+
+        Only pairs that already carry an arrow, or that a path i -> k -> j
+        joins, are visited: for any other pair every term of the formula
+        is zero, so skipping it is exact for every input, valid or not.
         """
         self._check_vertex(k)
         mm = self.m + 1
         q = self.mult
+        pairs = {(i, j) for i, j, _ in self._mult if i != j}
+        into_k = {i for i, j, _ in self._mult if j == k and i != k}
+        out_of_k = {j for i, j, _ in self._mult if i == k and j != k}
+        pairs.update((i, j) for i in into_k for j in out_of_k if i != j)
         new = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                if i == j:
-                    continue
-                if i == k:
-                    for c in range(mm):
-                        v = q(i, j, c + 1)
-                        if v:
-                            new[(i, j, c)] = v
-                elif j == k:
-                    for c in range(mm):
-                        v = q(i, j, c - 1)
-                        if v:
-                            new[(i, j, c)] = v
-                else:
-                    total = sum(q(i, j, t) for t in range(mm))
-                    for c in range(mm):
-                        v = (
-                            q(i, j, c)
-                            - (total - q(i, j, c))
-                            + (q(i, k, c) - q(i, k, c - 1)) * q(k, j, 0)
-                            + q(i, k, self.m) * (q(k, j, c) - q(k, j, c + 1))
-                        )
-                        if v > 0:
-                            new[(i, j, c)] = v
+        for i, j in pairs:
+            if i == k:
+                for c in range(mm):
+                    v = q(i, j, c + 1)
+                    if v:
+                        new[(i, j, c)] = v
+            elif j == k:
+                for c in range(mm):
+                    v = q(i, j, c - 1)
+                    if v:
+                        new[(i, j, c)] = v
+            else:
+                total = sum(q(i, j, t) for t in range(mm))
+                for c in range(mm):
+                    v = (
+                        q(i, j, c)
+                        - (total - q(i, j, c))
+                        + (q(i, k, c) - q(i, k, c - 1)) * q(k, j, 0)
+                        + q(i, k, self.m) * (q(k, j, c) - q(k, j, c + 1))
+                    )
+                    if v > 0:
+                        new[(i, j, c)] = v
         return ColoredQuiver(self.m, self.n, new)
 
     def mutate_inverse(self, k: int) -> "ColoredQuiver":

@@ -57,9 +57,14 @@ class VerificationReport:
     def record(self, fingerprint, expected, actual):
         self.failures.append(CaseFailure(str(fingerprint), str(expected), str(actual)))
 
-    def check(self, ok, fingerprint, expected="pass", actual="fail"):
+    def passes(self, ok) -> bool:
+        """Count one case and return ``ok``.  The caller records a failure
+        itself, so that its message is only built when a case fails."""
         self.cases += 1
-        if not ok:
+        return ok
+
+    def check(self, ok, fingerprint, expected="pass", actual="fail"):
+        if not self.passes(ok):
             self.record(fingerprint, expected, actual)
 
     def to_json_dict(self, include_elapsed: bool = True) -> dict:
@@ -150,13 +155,7 @@ def random_walk(cfg, steps: int, seed: int):
             yield angulation, arc
             angulation = angulation.flip(arc)
         else:
-            flippable = []
-            for a in arcs:
-                try:
-                    angulation.flip(a)
-                    flippable.append(a)
-                except ann.UnsupportedFlip:
-                    pass
+            flippable = [a for a in arcs if angulation.can_flip(a)]
             arc = flippable[rng.randrange(len(flippable))]
             yield angulation, arc
             angulation = angulation.flip(arc).rebased()
@@ -184,10 +183,8 @@ def check_flip_mutation(cases, suite="flip-mutation") -> VerificationReport:
             flipped = angulation.flip(arc)
             order = [a if a != arc else _new_arc(angulation, flipped) for a in arcs]
             actual = flipped.quiver_of(order)
-            report.check(
-                actual == expected, f"{angulation} flip {arc}", repr(expected),
-                repr(actual),
-            )
+            if not report.passes(actual == expected):
+                report.record(f"{angulation} flip {arc}", repr(expected), repr(actual))
     return report
 
 
@@ -199,20 +196,17 @@ def check_flip_cycle(cases, suite="flip-cycle") -> VerificationReport:
         for angulation, arc in cases:
             m = angulation.config.m
             comps = _completions_of(angulation, arc)
-            report.check(
-                len(comps) == m + 1 and comps[-1] == arc,
-                f"{angulation} completions at {arc}", f"{m + 1} ending with {arc}",
-                repr(comps),
-            )
+            if not report.passes(len(comps) == m + 1 and comps[-1] == arc):
+                report.record(f"{angulation} completions at {arc}",
+                              f"{m + 1} ending with {arc}", repr(comps))
             cur, cur_arc = angulation, arc
             for _ in range(m + 1):
                 nxt = cur.flip(cur_arc)
                 cur_arc = _new_arc(cur, nxt)
                 cur = nxt
-            report.check(
-                cur == angulation, f"{angulation} flip^{m + 1} at {arc}",
-                repr(angulation), repr(cur),
-            )
+            if not report.passes(cur == angulation):
+                report.record(f"{angulation} flip^{m + 1} at {arc}",
+                              repr(angulation), repr(cur))
     return report
 
 
@@ -224,16 +218,18 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
         for angulation, arc in cases:
             q = angulation.quiver_of()
             k = _arcs_of(angulation).index(arc)
-            report.check(q.is_valid(), f"validate quiver_of {angulation}",
-                         "[]", repr(q.validate()))
+            problems = q.validate()
+            if not report.passes(not problems):
+                report.record(f"validate quiver_of {angulation}", "[]", repr(problems))
             mutated = q.mutate(k)
-            report.check(mutated.is_valid(), f"validate mutate {angulation} @{k}",
-                         "[]", repr(mutated.validate()))
-            report.check(
-                q.mutate_procedural(k) == mutated,
-                f"procedural {angulation} @{k}", repr(mutated),
-                repr(q.mutate_procedural(k)),
-            )
+            problems = mutated.validate()
+            if not report.passes(not problems):
+                report.record(f"validate mutate {angulation} @{k}", "[]",
+                              repr(problems))
+            procedural = q.mutate_procedural(k)
+            if not report.passes(procedural == mutated):
+                report.record(f"procedural {angulation} @{k}", repr(mutated),
+                              repr(procedural))
     return report
 
 
@@ -275,8 +271,8 @@ def check_gabriel(cfg: DiskConfig) -> VerificationReport:
     report = VerificationReport(f"gabriel m={cfg.m} S={cfg.sides}")
     with _Timer(report):
         pq = disk.initial_fan(cfg).quiver_of().gabriel()
-        report.check(is_linear_path(pq), "gabriel(fan) linear path",
-                     "path", repr(pq))
+        if not report.passes(is_linear_path(pq)):
+            report.record("gabriel(fan) linear path", "path", repr(pq))
     return report
 
 
@@ -288,29 +284,29 @@ def _check_disk_cut(report, cfg, angulation, d):
         pe, le = placed[e]
         pf, lf = placed[f]
         got = disk.crosses(le, lf) if pe == pf else False
-        report.check(got == disk.crosses(e, f), f"crossing {e},{f} under cut {d}",
-                     disk.crosses(e, f), got)
+        want = disk.crosses(e, f)
+        if not report.passes(got == want):
+            report.record(f"crossing {e},{f} under cut {d}", want, got)
     by_piece = {1: [], 2: []}
     for e in rest:
         piece, local = placed[e]
         by_piece[piece].append(local)
         pc = cut.piece1 if piece == 1 else cut.piece2
-        report.check(pc.is_m_diagonal(local.a, local.b),
-                     f"validity of {e} under cut {d}", True, False)
-        report.check(cut.pull_back(piece, local) == e,
-                     f"round trip of {e} under cut {d}", e, cut.pull_back(piece, local))
+        if not report.passes(pc.is_m_diagonal(local.a, local.b)):
+            report.record(f"validity of {e} under cut {d}", True, False)
+        back = cut.pull_back(piece, local)
+        if not report.passes(back == e):
+            report.record(f"round trip of {e} under cut {d}", e, back)
     # flips of diagonals disjoint from the cut commute with transport
+    pieces = {1: disk.DiskAngulation(cut.piece1, by_piece[1]),
+              2: disk.DiskAngulation(cut.piece2, by_piece[2])}
     for e in rest:
         piece, local = placed[e]
-        pc = cut.piece1 if piece == 1 else cut.piece2
-        piece_ang = disk.DiskAngulation(pc, by_piece[piece])
-        flipped_local = piece_ang.twist(local)
+        flipped_back = cut.pull_back(piece, pieces[piece].twist(local))
         flipped_global = angulation.twist(e)
-        report.check(
-            cut.pull_back(piece, flipped_local) == flipped_global,
-            f"flip of {e} commutes with cut {d}", flipped_global,
-            cut.pull_back(piece, flipped_local),
-        )
+        if not report.passes(flipped_back == flipped_global):
+            report.record(f"flip of {e} commutes with cut {d}", flipped_global,
+                          flipped_back)
 
 
 def _check_annulus_bridge_cut(report, cfg, angulation, y):
@@ -319,27 +315,25 @@ def _check_annulus_bridge_cut(report, cfg, angulation, y):
     placed = {a: res.transport(a) for a in rest}
     for a, b in itertools.combinations(rest, 2):
         got = disk.crosses(placed[a], placed[b])
-        report.check(got == ann.crosses(cfg, a, b),
-                     f"crossing {a},{b} under cut {y}", ann.crosses(cfg, a, b), got)
+        want = ann.crosses(cfg, a, b)
+        if not report.passes(got == want):
+            report.record(f"crossing {a},{b} under cut {y}", want, got)
     for a in rest:
-        report.check(res.disk.is_m_diagonal(placed[a].a, placed[a].b),
-                     f"validity of {a} under cut {y}", True, False)
-        report.check(res.pull_back(placed[a]) == a,
-                     f"round trip of {a} under cut {y}", a, res.pull_back(placed[a]))
+        if not report.passes(res.disk.is_m_diagonal(placed[a].a, placed[a].b)):
+            report.record(f"validity of {a} under cut {y}", True, False)
+        back = res.pull_back(placed[a])
+        if not report.passes(back == a):
+            report.record(f"round trip of {a} under cut {y}", a, back)
     # flips away from the cut commute with transport (also exercises the
     # independence of the flip from the bridge chosen internally)
     disk_ang = disk.DiskAngulation(res.disk, list(placed.values()))
     for a in rest:
-        try:
-            flipped_global = ann.AnnulusAngulation(cfg, angulation.arcs).flip(a)
-        except ann.UnsupportedFlip:
+        if not angulation.can_flip(a):
             continue
-        new_arc = _new_arc(angulation, flipped_global)
-        report.check(
-            res.pull_back(disk_ang.twist(placed[a])) == new_arc,
-            f"flip of {a} commutes with cut {y}", new_arc,
-            res.pull_back(disk_ang.twist(placed[a])),
-        )
+        new_arc = _new_arc(angulation, angulation.flip(a))
+        flipped_back = res.pull_back(disk_ang.twist(placed[a]))
+        if not report.passes(flipped_back == new_arc):
+            report.record(f"flip of {a} commutes with cut {y}", new_arc, flipped_back)
 
 
 def _check_annulus_chord_cut(report, cfg, angulation, ear):
@@ -356,17 +350,19 @@ def _check_annulus_chord_cut(report, cfg, angulation, ear):
             got = disk.crosses(in_disk[a], in_disk[b])
         else:
             got = False
-        report.check(got == want, f"crossing {a},{b} under cut {ear}", want, got)
+        if not report.passes(got == want):
+            report.record(f"crossing {a},{b} under cut {ear}", want, got)
     for a, v in small.items():
-        report.check(res.annulus.is_m_diagonal(v),
-                     f"validity of {a} under cut {ear}", True, False)
+        if not report.passes(res.annulus.is_m_diagonal(v)):
+            report.record(f"validity of {a} under cut {ear}", True, False)
     for a, v in in_disk.items():
-        report.check(res.disk.is_m_diagonal(v.a, v.b),
-                     f"validity of {a} under cut {ear}", True, False)
+        if not report.passes(res.disk.is_m_diagonal(v.a, v.b)):
+            report.record(f"validity of {a} under cut {ear}", True, False)
     # the reduced arcs form an angulation of the smaller annulus
     reduced = ann.AnnulusAngulation(res.annulus, list(small.values()))
-    report.check(reduced.is_valid(), f"reduced angulation under cut {ear}",
-                 "[]", repr(reduced.violations()))
+    if not report.passes(reduced.is_valid()):
+        report.record(f"reduced angulation under cut {ear}", "[]",
+                      repr(reduced.violations()))
 
 
 def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
@@ -441,12 +437,13 @@ def check_annulus_maximal(
                     ):
                         chosen.append(cand)
                         progress = True
-            fingerprint = f"maximal extension {sorted(chosen, key=ann.arc_sort_key)}"
-            report.check(len(chosen) == cfg.rank, fingerprint,
-                         cfg.rank, len(chosen))
+            chosen.sort(key=ann.arc_sort_key)
+            if not report.passes(len(chosen) == cfg.rank):
+                report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))
             result = ann.AnnulusAngulation(cfg, chosen)
-            report.check(result.is_valid(), fingerprint, "[]",
-                         repr(result.violations()))
+            if not report.passes(result.is_valid()):
+                report.record(f"maximal extension {chosen}", "[]",
+                              repr(result.violations()))
     return report
 
 

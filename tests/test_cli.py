@@ -118,6 +118,47 @@ class TestFlip:
         assert code == 3 and "invalid" in err
 
 
+class TestVertexOutOfRange:
+    DISK = json.dumps(
+        {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 9]]}
+    )
+    ANNULUS = json.dumps(
+        dict(json.loads(ANNULUS_11), arcs=[
+            {"kind": "bridge", "outer": 4, "inner": 1, "winding": 0},
+            {"kind": "bridge", "outer": 1, "inner": 1, "winding": 1},
+        ])
+    )
+
+    @pytest.mark.parametrize("model", [DISK, ANNULUS], ids=["disk", "annulus"])
+    @pytest.mark.parametrize("argv", [["flip", "--arc", "0"], ["quiver"], ["validate"]])
+    def test_exit_4(self, capsys, model, argv):
+        code, out, err = run(capsys, argv[0], model, *argv[1:])
+        assert code == 4 and out == "" and err.startswith("error:")
+
+
+class TestUsageErrors:
+    def expect_usage_error(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_integer_env_guard(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANGULATOR_GUARD", "x")
+        self.expect_usage_error(capsys, "enumerate", "--m", "1", "--sides", "5")
+        self.expect_usage_error(capsys, "verify", "--suite", "cut", "--steps", "1")
+
+    def test_env_guard_unused_by_other_commands(self, capsys, monkeypatch):
+        monkeypatch.setenv("ANGULATOR_GUARD", "x")
+        assert run(capsys, "validate", PENTAGON_FAN)[0] == 0
+
+    def test_negative_steps_and_guard(self, capsys):
+        self.expect_usage_error(capsys, "verify", "--steps", "-1")
+        self.expect_usage_error(capsys, "verify", "--guard", "-3")
+        self.expect_usage_error(capsys, "enumerate", "--m", "1", "--sides", "5",
+                                "--guard", "-1")
+
+
 class TestQuiverCmd:
     def test_pentagon_fan(self, capsys):
         code, out, _ = run(capsys, "quiver", PENTAGON_FAN)

@@ -26,6 +26,49 @@ def valid_quivers(draw):
     return ColoredQuiver(m, n, arrows)
 
 
+@st.composite
+def any_quivers(draw):
+    """Arbitrary arrow sets: loops, clashing colors and unpaired arrows."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, m))
+    arrows = draw(st.dictionaries(keys, st.integers(1, 3), max_size=3 * n))
+    return ColoredQuiver(m, n, arrows)
+
+
+def dense_mutate(q, k):
+    """The closed formula evaluated at every ordered pair: the reference
+    the sparse ``ColoredQuiver.mutate`` must match."""
+    mm = q.m + 1
+    new = {}
+    for i in range(q.n):
+        for j in range(q.n):
+            if i == j:
+                continue
+            if i == k:
+                for c in range(mm):
+                    v = q.mult(i, j, c + 1)
+                    if v:
+                        new[(i, j, c)] = v
+            elif j == k:
+                for c in range(mm):
+                    v = q.mult(i, j, c - 1)
+                    if v:
+                        new[(i, j, c)] = v
+            else:
+                total = sum(q.mult(i, j, t) for t in range(mm))
+                for c in range(mm):
+                    v = (
+                        q.mult(i, j, c)
+                        - (total - q.mult(i, j, c))
+                        + (q.mult(i, k, c) - q.mult(i, k, c - 1)) * q.mult(k, j, 0)
+                        + q.mult(i, k, q.m) * (q.mult(k, j, c) - q.mult(k, j, c + 1))
+                    )
+                    if v > 0:
+                        new[(i, j, c)] = v
+    return ColoredQuiver(q.m, q.n, new)
+
+
 class TestValidate:
     def test_minimal_symmetric_pair_is_valid(self):
         assert minimal_pair().validate() == []
@@ -89,6 +132,28 @@ class TestMutate:
         axioms = {v.axiom for v in mutated.validate()}
         assert "loop" not in axioms
         assert "symmetry" not in axioms
+
+
+    @given(any_quivers(), st.integers(0, 4))
+    @settings(max_examples=300)
+    def test_sparse_matches_dense_on_any_quiver(self, q, k):
+        assert q.mutate(k % q.n) == dense_mutate(q, k % q.n)
+
+    @given(valid_quivers(), st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_sparse_matches_dense_on_valid_quivers(self, q, k):
+        assert q.mutate(k % q.n) == dense_mutate(q, k % q.n)
+
+    def test_sparse_matches_dense_on_angulation_quivers(self):
+        from angulator.annulus import AnnulusConfig
+        from angulator.disk import DiskConfig
+        from angulator.verify import random_walk
+
+        for cfg in (DiskConfig(2, 14), AnnulusConfig(2, 4, 3)):
+            for ang, _ in random_walk(cfg, 10, 4):
+                q = ang.quiver_of()
+                for k in range(q.n):
+                    assert q.mutate(k) == dense_mutate(q, k)
 
 
 class TestMutateInverse:

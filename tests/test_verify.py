@@ -2,10 +2,16 @@ import json
 
 import pytest
 
-from angulator.annulus import AnnulusConfig, UnsupportedFlip, initial_bridges
-from angulator.disk import Diagonal, DiskConfig, initial_fan
-from angulator.quiver import PlainQuiver
+from angulator.annulus import (
+    AnnulusAngulation,
+    AnnulusConfig,
+    UnsupportedFlip,
+    initial_bridges,
+)
+from angulator.disk import Diagonal, DiskAngulation, DiskConfig, initial_fan
+from angulator.quiver import ColoredQuiver, PlainQuiver
 from angulator.verify import (
+    ANNULUS_MATRIX,
     VerificationReport,
     all_disk_cases,
     check_annulus_maximal,
@@ -83,6 +89,82 @@ class TestWalks:
     def test_annulus_walk_avoids_unsupported_positions(self):
         for ang, arc in random_walk(AnnulusConfig(1, 2, 1), 40, 0):
             ang.flip(arc)  # must not raise
+
+
+def flip_outcome(ang, arc):
+    try:
+        return ang.flip(arc)
+    except UnsupportedFlip as exc:
+        return str(exc)
+
+
+def cells(faces):
+    """Faces as a sorted list of cells, each read from its least rotation:
+    a flipped angulation lists its faces in another order than a fresh one."""
+    def rotations(f):
+        for i in range(len(f)):
+            yield repr((f.vertices[i:] + f.vertices[:i], f.sides[i:] + f.sides[:i]))
+
+    return sorted(min(rotations(f)) for f in faces)
+
+
+class TestWalkCaches:
+    """A walked angulation carries faces, validity and (on the annulus)
+    cut views from its parent and from earlier calls; none of that may
+    change what it answers."""
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_walked_object_answers_like_a_fresh_one(self, cfg):
+        for ang, arc in random_walk(cfg, 12, 7):
+            fresh = AnnulusAngulation(cfg, ang.arcs)
+            for a in ang.arcs:
+                assert flip_outcome(ang, a) == flip_outcome(fresh, a)
+            assert ang.quiver_of() == fresh.quiver_of()
+            for ref in ang.bridges():
+                assert cells(ang.faces(ref)) == cells(fresh.faces(ref))
+
+    @pytest.mark.parametrize("cfg", [DiskConfig(1, 9), DiskConfig(2, 14),
+                                     DiskConfig(3, 17)], ids=repr)
+    def test_flipped_disk_carries_the_faces_of_a_fresh_one(self, cfg):
+        for ang, arc in random_walk(cfg, 30, 7):
+            fresh = DiskAngulation(cfg, ang.diagonals)
+            assert cells(ang.faces()) == cells(fresh.faces())
+            assert ang.quiver_of() == fresh.quiver_of()
+            assert ang.flip(arc) == fresh.flip(arc)
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_flippable_set_equals_trial_flips(self, cfg):
+        for ang, _ in random_walk(cfg, 25, 2):
+            trial = [a for a in ang.arcs if not isinstance(flip_outcome(ang, a), str)]
+            assert [a for a in ang.arcs if ang.can_flip(a)] == trial
+
+
+class TestFailureRecords:
+    """Failure messages are built lazily; they must read exactly as the
+    eagerly built ones did."""
+
+    def test_flip_mutation(self, monkeypatch):
+        ang, arc = initial_fan(PENTAGON), Diagonal(1, 3)
+        expected = ang.quiver_of()
+        flipped = ang.flip(arc)
+        actual = flipped.quiver_of([Diagonal(2, 4), Diagonal(1, 4)])
+        monkeypatch.setattr(ColoredQuiver, "mutate", lambda self, k: self)
+        report = check_flip_mutation([(ang, arc)])
+        assert report.cases == 1
+        assert [(f.fingerprint, f.expected, f.actual) for f in report.failures] == [
+            (f"{ang} flip {arc}", repr(expected), repr(actual))
+        ]
+
+    def test_axioms(self, monkeypatch):
+        ang, arc = initial_fan(PENTAGON), Diagonal(1, 4)
+        q = ang.quiver_of()
+        mutated = q.mutate(1)
+        monkeypatch.setattr(ColoredQuiver, "mutate_procedural", lambda self, k: self)
+        report = check_axioms([(ang, arc)])
+        assert report.cases == 3
+        assert [(f.fingerprint, f.expected, f.actual) for f in report.failures] == [
+            (f"procedural {ang} @1", repr(mutated), repr(q))
+        ]
 
 
 class TestSuites:
