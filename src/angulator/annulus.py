@@ -32,7 +32,7 @@ from .disk import (
     NotInAngulation,
 )
 from .faces import Face, quiver_from_faces
-from .quiver import ColoredQuiver
+from .quiver import ColoredQuiver, json_int
 
 
 class UnsupportedFlip(ValueError):
@@ -158,28 +158,27 @@ def bridge_crossings(cfg: AnnulusConfig, x: Bridge, y: Bridge) -> int:
     """Minimal number of interior intersections of two bridges.
 
     Straight lifts of y properly cross a fixed lift of x once for every
-    deck multiple strictly between the top and bottom abscissa differences.
+    deck multiple strictly between the top and bottom abscissa differences
+    (the scaled ``top``/``bottom`` lifts; equal bridges give 0).
     """
-    if x == y:
-        return 0
-    dt = cfg.top(x.outer) - cfg.top(y.outer)
-    db = cfg.bottom(x.inner, x.winding) - cfg.bottom(y.inner, y.winding)
-    lo, hi = min(dt, db), max(dt, db)
-    per = cfg.period
+    outer_len, inner_len = cfg.m * cfg.p, cfg.m * cfg.q
+    dt = (x.outer - y.outer) * inner_len
+    db = (x.inner - y.inner + (x.winding - y.winding) * inner_len) * outer_len
+    lo, hi = (dt, db) if dt < db else (db, dt)
+    per = outer_len * inner_len
     # integers n with lo < n * per < hi
     return max(0, (hi - 1) // per - lo // per)
 
 
 def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
-    """True iff the minimal representatives of the two arcs intersect."""
-    if x == y:
-        return False
+    """True iff the minimal representatives of the two arcs intersect;
+    an arc never crosses itself."""
     if isinstance(x, Bridge) and isinstance(y, Bridge):
         return bridge_crossings(cfg, x, y) > 0
     if isinstance(x, Bridge):
         x, y = y, x
     # x is now a chord
-    length = cfg.outer_len if isinstance(x, OuterChord) else cfg.inner_len
+    length = cfg.m * (cfg.p if isinstance(x, OuterChord) else cfg.q)
     if isinstance(y, Bridge):
         v = y.outer if isinstance(x, OuterChord) else y.inner
         return _strictly_inside(v, x.start, x.span, length)
@@ -278,7 +277,12 @@ class AnnulusAngulation:
         """The p+q cells, computed by cutting open along a bridge of the
         angulation; the result does not depend on the bridge chosen."""
         self._require_valid()
-        return list(self._view(ref or self.bridges()[0]).faces)
+        bridges = self.bridges()
+        if ref is None:
+            ref = bridges[0]
+        elif ref not in bridges:
+            raise NotInAngulation(f"{ref} is not a bridge of the angulation")
+        return list(self._view(ref).faces)
 
     def _flip_view(self, x: ArcClass) -> "CutView":
         """The view flip(x) works in: cut along the least other bridge."""
@@ -342,18 +346,19 @@ class AnnulusAngulation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnnulusAngulation":
-        cfg = AnnulusConfig(data["m"], data["p"], data["q"])
+        cfg = AnnulusConfig(*(json_int(data[f], f) for f in ("m", "p", "q")))
         arcs = []
         for a in data["arcs"]:
             kind = a["kind"]
             if kind == "bridge":
-                arcs.append(Bridge(a["outer"], a["inner"], a["winding"]))
+                make, fields = Bridge, ("outer", "inner", "winding")
             elif kind == "outer_chord":
-                arcs.append(OuterChord(a["start"], a["span"]))
+                make, fields = OuterChord, ("start", "span")
             elif kind == "inner_chord":
-                arcs.append(InnerChord(a["start"], a["span"]))
+                make, fields = InnerChord, ("start", "span")
             else:
                 raise ValueError(f"unknown arc kind {kind!r}")
+            arcs.append(make(*(json_int(a[f], f) for f in fields)))
         return cls(cfg, arcs)
 
 

@@ -33,16 +33,22 @@ class CliError(Exception):
 
 
 def _read_input(spec: str) -> dict:
-    """Load JSON from '-' (stdin), an inline object, or a file path."""
+    """Load a JSON object from '-' (stdin), an inline object, or a file path."""
     try:
         if spec == "-":
-            return json.load(sys.stdin)
-        if spec.lstrip().startswith("{"):
-            return json.loads(spec)
-        with open(spec) as handle:
-            return json.load(handle)
-    except (json.JSONDecodeError, OSError) as exc:
+            data = json.load(sys.stdin)
+        elif spec.lstrip().startswith("{"):
+            data = json.loads(spec)
+        else:
+            with open(spec) as handle:
+                data = json.load(handle)
+    # ValueError covers malformed JSON, undecodable bytes and over-long numbers
+    except (ValueError, OSError) as exc:
         raise CliError(EXIT_BAD_JSON, f"cannot read input: {exc}")
+    if not isinstance(data, dict):
+        raise CliError(EXIT_BAD_JSON,
+                       f"expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _dump(data: dict) -> str:

@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .faces import Face, quiver_from_faces, split_regions
-from .quiver import ColoredQuiver
+from .quiver import ColoredQuiver, json_int
 
 DEFAULT_GUARD = 12
 
@@ -252,8 +252,11 @@ class DiskAngulation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiskAngulation":
-        cfg = DiskConfig(data["m"], data["sides"])
-        return cls(cfg, [Diagonal(a, b) for a, b in data["diagonals"]])
+        cfg = DiskConfig(json_int(data["m"], "m"), json_int(data["sides"], "sides"))
+        return cls(cfg, [
+            Diagonal(json_int(a, "diagonal endpoint"), json_int(b, "diagonal endpoint"))
+            for a, b in data["diagonals"]
+        ])
 
 
 def region_twist(region: Sequence[int], d: Diagonal, m: int) -> Diagonal:
@@ -384,38 +387,64 @@ def _check_guard(cfg: DiskConfig, guard: int):
         )
 
 
+def _crossing_table(cfg: DiskConfig) -> tuple[list[Diagonal], list[int]]:
+    """The m-diagonals in canonical order and, for each index i, the
+    bitmask of the indices of the diagonals crossing diagonal i.
+
+    Built from ``crosses`` alone, so the oracles using it stay independent
+    of the flip machinery.
+    """
+    diagonals = cfg.all_diagonals()
+    masks = [0] * len(diagonals)
+    for i, j in itertools.combinations(range(len(diagonals)), 2):
+        if crosses(diagonals[i], diagonals[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return diagonals, masks
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def enumerate_angulations(
     cfg: DiskConfig, guard: int = DEFAULT_GUARD, collect: bool = False
 ):
     """Count (and optionally list) all angulations by backtracking.
 
     Entirely independent of the flip machinery: extends noncrossing sets
-    over the canonically ordered diagonal list.
+    over the canonically ordered diagonal list.  ``blocked`` holds the
+    diagonals crossing the chosen ones, so a candidate is compatible with
+    the chosen set when its bit is clear.
     """
     _check_guard(cfg, guard)
-    diagonals = cfg.all_diagonals()
+    diagonals, cross_mask = _crossing_table(cfg)
     rank = cfg.rank
+    full = (1 << len(diagonals)) - 1
     found: list[DiskAngulation] = []
     count = 0
 
-    def backtrack(start, chosen):
+    def backtrack(start, chosen, blocked):
         nonlocal count
         if len(chosen) == rank:
             count += 1
             if collect:
-                found.append(DiskAngulation(cfg, chosen))
+                found.append(DiskAngulation(cfg, [diagonals[i] for i in chosen]))
             return
+        free = full & ~blocked & ~((1 << start) - 1)
         # not enough candidates left to finish
-        if len(chosen) + (len(diagonals) - start) < rank:
+        if len(chosen) + free.bit_count() < rank:
             return
-        for idx in range(start, len(diagonals)):
-            d = diagonals[idx]
-            if all(not crosses(d, e) for e in chosen):
-                chosen.append(d)
-                backtrack(idx + 1, chosen)
-                chosen.pop()
+        for idx in _bits(free):
+            chosen.append(idx)
+            backtrack(idx + 1, chosen, blocked | cross_mask[idx])
+            chosen.pop()
 
-    backtrack(0, [])
+    backtrack(0, [], 0)
     return (count, found) if collect else (count, None)
 
 
@@ -427,23 +456,20 @@ def maximal_set_sizes(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> dict[int, 
     verification suite asserts against this histogram.
     """
     _check_guard(cfg, guard)
-    diagonals = cfg.all_diagonals()
+    diagonals, cross_mask = _crossing_table(cfg)
+    full = (1 << len(diagonals)) - 1
     sizes: dict[int, int] = {}
 
-    def backtrack(start, chosen):
-        extendable = False
-        for idx, d in enumerate(diagonals):
-            if d not in chosen and all(not crosses(d, e) for e in chosen):
-                extendable = True
-                if idx >= start:
-                    chosen.append(d)
-                    backtrack(idx + 1, chosen)
-                    chosen.pop()
+    def backtrack(start, chosen, blocked, size):
+        free = full & ~blocked & ~chosen
         # a maximal set is reached exactly once, along its sorted chain
-        if not extendable:
-            sizes[len(chosen)] = sizes.get(len(chosen), 0) + 1
+        if not free:
+            sizes[size] = sizes.get(size, 0) + 1
+            return
+        for idx in _bits(free >> start << start):
+            backtrack(idx + 1, chosen | 1 << idx, blocked | cross_mask[idx], size + 1)
 
-    backtrack(0, [])
+    backtrack(0, 0, 0, 0)
     return sizes
 
 
@@ -482,21 +508,30 @@ class FlipGraph:
 
 
 def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
-    """BFS over flips starting from the initial fan."""
+    """BFS over flips starting from the initial fan.
+
+    A child is keyed by the bitmask of its diagonal ids, known from the
+    twist alone, so only an angulation not seen before is built by a flip.
+    """
     _check_guard(cfg, guard)
+    bit = {d: 1 << i for i, d in enumerate(cfg.all_diagonals())}
     start = initial_fan(cfg)
-    index = {start: 0}
+    key = sum(bit[d] for d in start.diagonals)
+    index = {key: 0}
     order = [start]
     edges = set()
-    queue = [start]
+    queue = [(start, key)]
     while queue:
-        node = queue.pop()
+        node, key = queue.pop()
+        i = index[key]
         for d in node.diagonals:
-            other = node.flip(d)
-            if other not in index:
-                index[other] = len(order)
+            child = key ^ bit[d] ^ bit[node.twist(d)]
+            j = index.get(child)
+            if j is None:
+                j = index[child] = len(order)
+                other = node.flip(d)
                 order.append(other)
-                queue.append(other)
-            if index[other] != index[node]:
-                edges.add(frozenset((index[node], index[other])))
+                queue.append((other, child))
+            if j != i:
+                edges.add(frozenset((i, j)))
     return FlipGraph(tuple(order), frozenset(edges))

@@ -41,6 +41,14 @@ class PlainQuiver:
         return dict(self.arrows).get((i, j), 0)
 
 
+def json_int(value, field: str) -> int:
+    """``value`` when it is a JSON integer; floats and booleans (which
+    Python counts as integers) are rejected with a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _as_arrow_dict(arrows):
     if isinstance(arrows, Mapping):
         items = arrows.items()
@@ -253,9 +261,10 @@ class ColoredQuiver:
     def from_json_dict(cls, data: dict) -> "ColoredQuiver":
         arrows = {}
         for a in data["arrows"]:
-            key = (a["from"], a["to"], a["color"])
-            arrows[key] = arrows.get(key, 0) + a.get("mult", 1)
-        return cls(data["m"], data["vertices"], arrows)
+            key = tuple(json_int(a[f], f) for f in ("from", "to", "color"))
+            arrows[key] = arrows.get(key, 0) + json_int(a.get("mult", 1), "mult")
+        return cls(json_int(data["m"], "m"), json_int(data["vertices"], "vertices"),
+                   arrows)
 
     def to_dot(self) -> str:
         lines = ["digraph quiver {"]

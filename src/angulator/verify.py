@@ -16,6 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import annulus as ann
 from . import disk
@@ -233,18 +234,42 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
     return report
 
 
-def check_counts(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> VerificationReport:
+class DiskOracles:
+    """The count oracles of one disk configuration, each run at most once
+    and shared by check_counts and check_connectivity."""
+
+    def __init__(self, cfg: DiskConfig, guard: int = DEFAULT_GUARD):
+        self.cfg = cfg
+        self.guard = guard
+
+    @cached_property
+    def enumerated(self):
+        return disk.enumerate_angulations(self.cfg, guard=self.guard, collect=True)
+
+    @cached_property
+    def graph(self):
+        return disk.flip_graph(self.cfg, guard=self.guard)
+
+    @cached_property
+    def sizes(self):
+        return disk.maximal_set_sizes(self.cfg, guard=self.guard)
+
+
+def check_counts(
+    cfg: DiskConfig, guard: int = DEFAULT_GUARD, oracles: DiskOracles | None = None
+) -> VerificationReport:
     """Backtracking count == Fuss-Catalan closed form == flip-graph BFS;
     every maximal noncrossing set has exactly rank elements."""
     report = VerificationReport(f"counts m={cfg.m} S={cfg.sides}")
+    oracles = oracles or DiskOracles(cfg, guard)
     with _Timer(report):
-        count, _ = disk.enumerate_angulations(cfg, guard=guard)
+        count, _ = oracles.enumerated
         closed = fuss_catalan(cfg.m, cfg.rank + 1)
         report.check(count == closed, "backtracking vs closed form", closed, count)
-        graph = disk.flip_graph(cfg, guard=guard)
+        graph = oracles.graph
         report.check(len(graph.nodes) == count, "BFS vs backtracking",
                      count, len(graph.nodes))
-        sizes = disk.maximal_set_sizes(cfg, guard=guard)
+        sizes = oracles.sizes
         report.check(set(sizes) == {cfg.rank}, "maximal set sizes",
                      {cfg.rank}, set(sizes))
         report.check(sum(sizes.values()) == count, "maximal set count",
@@ -252,13 +277,16 @@ def check_counts(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> VerificationRep
     return report
 
 
-def check_connectivity(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> VerificationReport:
+def check_connectivity(
+    cfg: DiskConfig, guard: int = DEFAULT_GUARD, oracles: DiskOracles | None = None
+) -> VerificationReport:
     """The flip graph is connected and reaches every enumerated angulation."""
     report = VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}")
+    oracles = oracles or DiskOracles(cfg, guard)
     with _Timer(report):
-        graph = disk.flip_graph(cfg, guard=guard)
+        graph = oracles.graph
         report.check(graph.is_connected(), "connected", True, False)
-        _, angulations = disk.enumerate_angulations(cfg, guard=guard, collect=True)
+        _, angulations = oracles.enumerated
         reached = set(graph.nodes)
         missing = [a for a in angulations if a not in reached]
         report.check(not missing, "all angulations reached from the fan",
@@ -420,24 +448,42 @@ def check_annulus_maximal(
                 for t in range(cfg.m + 1, boundary, cfg.m):
                     pool.append(kind(s, t))
         pool = [a for a in pool if cfg.is_m_diagonal(a)]
+        ids = {a: i for i, a in enumerate(pool)}
+        # crossing[j][i] for a pool arc j chosen in some trial: 0 while
+        # unknown, 1 when arcs i and j are disjoint, 2 when they cross
+        crossing = {}
+
+        def compatible(i, chosen):
+            for j in chosen:
+                row = crossing.get(j)
+                if row is None:
+                    row = crossing[j] = bytearray(len(pool))
+                if not row[i]:
+                    row[i] = 1 + ann.crosses(cfg, pool[i], pool[j])
+                if row[i] == 2:
+                    return False
+            return True
+
         for _ in range(trials):
-            chosen = [ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
-                                 rng.randrange(1, cfg.inner_len + 1),
-                                 rng.randrange(-1, 2))]
+            chosen = [ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
+                                     rng.randrange(1, cfg.inner_len + 1),
+                                     rng.randrange(-1, 2))]]
+            taken = set(chosen)
             order = rng.sample(range(len(pool)), len(pool))
             progress = True
             while progress:
                 progress = False
                 for idx in order:
-                    cand = pool[idx]
                     if (
-                        cand not in chosen
-                        and all(not ann.crosses(cfg, cand, c) for c in chosen)
-                        and _partial_cells_ok(cfg, chosen + [cand])
+                        idx not in taken
+                        and compatible(idx, chosen)
+                        and _partial_cells_ok(
+                            cfg, [pool[j] for j in chosen] + [pool[idx]])
                     ):
-                        chosen.append(cand)
+                        chosen.append(idx)
+                        taken.add(idx)
                         progress = True
-            chosen.sort(key=ann.arc_sort_key)
+            chosen = sorted((pool[j] for j in chosen), key=ann.arc_sort_key)
             if not report.passes(len(chosen) == cfg.rank):
                 report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))
             result = ann.AnnulusAngulation(cfg, chosen)
@@ -481,8 +527,9 @@ def run_suite(
             reports.append(check_axioms(cases, f"axioms {label}"))
     if suite in ("counts", "all"):
         for cfg in DISK_MATRIX:
-            reports.append(check_counts(cfg, guard))
-            reports.append(check_connectivity(cfg, guard))
+            oracles = DiskOracles(cfg, guard)
+            reports.append(check_counts(cfg, guard, oracles))
+            reports.append(check_connectivity(cfg, guard, oracles))
             reports.append(check_gabriel(cfg))
         for cfg in ANNULUS_MATRIX:
             reports.append(

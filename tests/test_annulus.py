@@ -19,7 +19,12 @@ from angulator.annulus import (
     initial_bridges,
     is_m_ear,
 )
-from angulator.disk import Diagonal, InvalidAngulation, crosses as disk_crosses
+from angulator.disk import (
+    Diagonal,
+    InvalidAngulation,
+    NotInAngulation,
+    crosses as disk_crosses,
+)
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
 C11 = AnnulusConfig(1, 1, 1)
@@ -45,6 +50,60 @@ def arcs(draw, cfg):
         return draw(bridges(cfg))
     cls = OuterChord if kind == 1 else InnerChord
     return cls(draw(st.integers(1, length)), draw(st.sampled_from(spans)))
+
+
+def reference_bridge_crossings(cfg, x, y):
+    """Bridge crossings through the strip-lift properties (reference)."""
+    if x == y:
+        return 0
+    dt = cfg.top(x.outer) - cfg.top(y.outer)
+    db = cfg.bottom(x.inner, x.winding) - cfg.bottom(y.inner, y.winding)
+    lo, hi = min(dt, db), max(dt, db)
+    per = cfg.period
+    return max(0, (hi - 1) // per - lo // per)
+
+
+def reference_crosses(cfg, x, y):
+    """The crossing predicate with its equality shortcut (reference)."""
+    if x == y:
+        return False
+    if isinstance(x, Bridge) and isinstance(y, Bridge):
+        return reference_bridge_crossings(cfg, x, y) > 0
+    if isinstance(x, Bridge):
+        x, y = y, x
+    length = cfg.outer_len if isinstance(x, OuterChord) else cfg.inner_len
+    if isinstance(y, Bridge):
+        v = y.outer if isinstance(x, OuterChord) else y.inner
+        return 0 < (v - x.start) % length < x.span
+    if type(x) is not type(y):
+        return False
+    a1, b1 = x.start, x.start + x.span
+    base = x.start + (y.start - x.start) % length
+    for a2 in (base - length, base, base + length):
+        b2 = a2 + y.span
+        if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+            return True
+    return False
+
+
+def crossing_pool(cfg):
+    """Bridges with windings -3..3 and chords of both kinds and every span."""
+    pool = [Bridge(o, i, w) for o in range(1, cfg.outer_len + 1)
+            for i in range(1, cfg.inner_len + 1) for w in range(-3, 4)]
+    for kind, length in ((OuterChord, cfg.outer_len), (InnerChord, cfg.inner_len)):
+        pool += [kind(s, t) for s in range(1, length + 1) for t in range(1, length)]
+    return pool
+
+
+class TestCrossesAgainstReference:
+    @pytest.mark.parametrize("cfg", [AnnulusConfig(m, p, q) for m in (1, 2, 3)
+                                     for p, q in ((1, 1), (2, 1), (2, 2))], ids=repr)
+    def test_all_pairs_of_a_pool(self, cfg):
+        # the second pool holds equal but distinct objects
+        for x, y in itertools.product(crossing_pool(cfg), crossing_pool(cfg)):
+            assert crosses(cfg, x, y) == reference_crosses(cfg, x, y)
+            if isinstance(x, Bridge) and isinstance(y, Bridge):
+                assert bridge_crossings(cfg, x, y) == reference_bridge_crossings(cfg, x, y)
 
 
 class TestIsMDiagonal:
@@ -160,6 +219,13 @@ class TestFaces:
             if reference is None:
                 reference = faces
             assert faces == reference
+
+    def test_foreign_cut_bridge_rejected(self):
+        ang = initial_bridges(C43)
+        with pytest.raises(NotInAngulation):
+            ang.faces(Bridge(2, 1, 0))  # crosses bridges of the angulation
+        with pytest.raises(NotInAngulation):
+            ang.faces(Bridge(1, 1, 5))
 
     def test_missing_bridge_rejected(self):
         bad = AnnulusAngulation(C43, [OuterChord(1, 3)] * 1)

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from angulator.annulus import AnnulusConfig, initial_bridges
 from angulator.cli import main
+from angulator.disk import DiskConfig, initial_fan
 
 PENTAGON_FAN = json.dumps(
     {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 4]]}
@@ -244,3 +250,109 @@ class TestFileInput(object):
 
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, "quiver", "no-such-file.json")[0] == 2
+
+
+def with_field(model: str, path, value) -> str:
+    """``model`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    data = json.loads(model)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(data)
+
+
+# argv tails of the subcommands that read a model, after the input spec
+READERS = [["validate"], ["quiver"], ["flip", "--arc", "0"], ["mutate", "-k", "0"]]
+
+
+class TestJsonShape:
+    """Only a JSON object is a model; anything else is malformed input."""
+
+    @pytest.mark.parametrize("argv", READERS, ids=lambda a: a[0])
+    @pytest.mark.parametrize("text", ["[1, 2]", "[]", "3", '"disk"', "null", "true"])
+    def test_non_object_exit_2(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == "" and err.startswith("error:")
+        with mock.patch("sys.stdin", io.StringIO(text)):
+            code, out, err = run(capsys, argv[0], "-", *argv[1:])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("model, path, value", [
+        pytest.param(QUIVER_M2, ["m"], True, id="quiver-m-bool"),
+        pytest.param(QUIVER_M2, ["vertices"], 2.0, id="quiver-vertices-float"),
+        pytest.param(QUIVER_M2, ["arrows", 0, "mult"], 1.5, id="quiver-mult-float"),
+        pytest.param(QUIVER_M2, ["arrows", 0, "from"], False, id="quiver-from-bool"),
+        pytest.param(QUIVER_M2, ["arrows", 1, "color"], 2.0, id="quiver-color-float"),
+        pytest.param(PENTAGON_FAN, ["m"], True, id="disk-m-bool"),
+        pytest.param(PENTAGON_FAN, ["sides"], 5.0, id="disk-sides-float"),
+        pytest.param(PENTAGON_FAN, ["diagonals", 0, 1], 3.0, id="disk-endpoint-float"),
+        pytest.param(PENTAGON_FAN, ["diagonals", 1, 0], True, id="disk-endpoint-bool"),
+        pytest.param(ANNULUS_11, ["p"], 1.0, id="annulus-p-float"),
+        pytest.param(ANNULUS_11, ["arcs", 0, "winding"], False, id="annulus-winding-bool"),
+        pytest.param(ANNULUS_11, ["arcs", 1, "outer"], True, id="annulus-outer-bool"),
+    ])
+    def test_non_integer_field_exit_2(self, capsys, model, path, value):
+        bad = with_field(model, path, value)
+        commands = [["validate"], ["mutate", "-k", "0"]] if model is QUIVER_M2 \
+            else [["validate"], ["quiver"], ["flip", "--arc", "0"]]
+        for argv in commands:
+            code, out, err = run(capsys, argv[0], bad, *argv[1:])
+            assert code == 2 and out == "" and err.startswith("error:"), argv
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+MODELS = [
+    PENTAGON_FAN, QUIVER_M2, ANNULUS_11,
+    json.dumps(initial_fan(DiskConfig(2, 10)).to_json_dict()),
+    json.dumps(initial_bridges(AnnulusConfig(2, 2, 1)).to_json_dict()),
+    json.dumps(initial_bridges(AnnulusConfig(2, 2, 1)).quiver_of().to_json_dict()),
+]
+
+
+def slots(value):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return
+    for key, child in items:
+        yield value, key
+        yield from slots(child)
+
+
+@st.composite
+def near_valid_models(draw):
+    """A valid model with one entry deleted, nudged or replaced."""
+    data = json.loads(draw(st.sampled_from(MODELS)))
+    container, key = draw(st.sampled_from(list(slots(data))))
+    action = draw(st.sampled_from(("delete", "nudge", "replace")))
+    if action == "delete":
+        del container[key]
+    elif action == "nudge":
+        container[key] = draw(st.integers(-2, 12) | st.booleans()
+                              | st.floats(-2, 12))
+    else:
+        container[key] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=JSON_VALUES | near_valid_models(), argv=st.sampled_from(READERS))
+def test_any_json_ends_in_a_documented_exit(data, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(json.dumps(data))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "-", *argv[1:]])
+    assert code in {0, 2, 3, 4, 5}
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")

@@ -20,9 +20,71 @@ from angulator.disk import (
     initial_fan,
     maximal_set_sizes,
 )
+from angulator.verify import DISK_MATRIX
 
 PENTAGON = DiskConfig(1, 5)
 OCTAGON = DiskConfig(2, 8)
+
+
+def reference_enumerate(cfg):
+    """The list-based backtracking that the crossing-table enumeration
+    replaced: the reference it must agree with, order included."""
+    diagonals = cfg.all_diagonals()
+    found = []
+
+    def backtrack(start, chosen):
+        if len(chosen) == cfg.rank:
+            found.append(DiskAngulation(cfg, chosen))
+            return
+        if len(chosen) + (len(diagonals) - start) < cfg.rank:
+            return
+        for idx in range(start, len(diagonals)):
+            d = diagonals[idx]
+            if all(not crosses(d, e) for e in chosen):
+                chosen.append(d)
+                backtrack(idx + 1, chosen)
+                chosen.pop()
+
+    backtrack(0, [])
+    return found
+
+
+def reference_maximal_set_sizes(cfg):
+    """The list-based maximal-set histogram (reference)."""
+    diagonals = cfg.all_diagonals()
+    sizes = {}
+
+    def backtrack(start, chosen):
+        extendable = False
+        for idx, d in enumerate(diagonals):
+            if d not in chosen and all(not crosses(d, e) for e in chosen):
+                extendable = True
+                if idx >= start:
+                    chosen.append(d)
+                    backtrack(idx + 1, chosen)
+                    chosen.pop()
+        if not extendable:
+            sizes[len(chosen)] = sizes.get(len(chosen), 0) + 1
+
+    backtrack(0, [])
+    return sizes
+
+
+def reference_flip_graph(cfg):
+    """The BFS that flips at every (node, diagonal) pair (reference)."""
+    start = initial_fan(cfg)
+    index, order, edges, queue = {start: 0}, [start], set(), [start]
+    while queue:
+        node = queue.pop()
+        for d in node.diagonals:
+            other = node.flip(d)
+            if other not in index:
+                index[other] = len(order)
+                order.append(other)
+                queue.append(other)
+            if index[other] != index[node]:
+                edges.add(frozenset((index[node], index[other])))
+    return order, edges
 
 
 def pentagon_fan():
@@ -378,6 +440,27 @@ class TestEnumeration:
         assert maximal_set_sizes(PENTAGON) == {2: 5}
         assert maximal_set_sizes(OCTAGON) == {2: 12}
         assert maximal_set_sizes(DiskConfig(3, 11)) == {2: 22}
+
+
+class TestAgainstReferences:
+    """The crossing-bitmask oracles and the key-first BFS give exactly what
+    the list-based ones they replaced give."""
+
+    @pytest.mark.parametrize("cfg", DISK_MATRIX, ids=repr)
+    def test_enumeration_and_maximal_sets(self, cfg):
+        count, found = enumerate_angulations(cfg, collect=True)
+        reference = reference_enumerate(cfg)
+        assert count == len(reference) == enumerate_angulations(cfg)[0]
+        assert [a.diagonals for a in found] == [a.diagonals for a in reference]
+        assert maximal_set_sizes(cfg) == reference_maximal_set_sizes(cfg)
+
+    # the reference BFS takes seconds on the 7,084 angulations of m=3, S=20
+    @pytest.mark.parametrize("cfg", [c for c in DISK_MATRIX if c.sides <= 17], ids=repr)
+    def test_flip_graph(self, cfg):
+        graph = flip_graph(cfg)
+        order, edges = reference_flip_graph(cfg)
+        assert [a.diagonals for a in graph.nodes] == [a.diagonals for a in order]
+        assert graph.edges == edges
 
 
 class TestFlipGraph:

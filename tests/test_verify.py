@@ -8,7 +8,16 @@ from angulator.annulus import (
     UnsupportedFlip,
     initial_bridges,
 )
-from angulator.disk import Diagonal, DiskAngulation, DiskConfig, initial_fan
+from angulator import disk, verify
+from angulator.disk import (
+    Diagonal,
+    DiskAngulation,
+    DiskConfig,
+    enumerate_angulations,
+    flip_graph,
+    initial_fan,
+    maximal_set_sizes,
+)
 from angulator.quiver import ColoredQuiver, PlainQuiver
 from angulator.verify import (
     ANNULUS_MATRIX,
@@ -137,6 +146,48 @@ class TestWalkCaches:
         for ang, _ in random_walk(cfg, 25, 2):
             trial = [a for a in ang.arcs if not isinstance(flip_outcome(ang, a), str)]
             assert [a for a in ang.arcs if ang.can_flip(a)] == trial
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("an oracle used the code it checks")
+
+
+class TestOracleIndependence:
+    """Enumeration and maximal sets use neither flips nor the closed form;
+    the flip graph does not use the enumeration."""
+
+    def test_enumeration_and_maximal_sets(self, monkeypatch):
+        monkeypatch.setattr(DiskAngulation, "flip", refuse)
+        monkeypatch.setattr(DiskAngulation, "twist", refuse)
+        monkeypatch.setattr(disk, "region_twist", refuse)
+        monkeypatch.setattr(verify, "fuss_catalan", refuse)
+        cfg = DiskConfig(2, 12)
+        count, found = enumerate_angulations(cfg, collect=True)
+        assert count == len(found) == enumerate_angulations(cfg)[0] == 273
+        assert maximal_set_sizes(cfg) == {4: 273}
+
+    def test_flip_graph(self, monkeypatch):
+        monkeypatch.setattr(disk, "enumerate_angulations", refuse)
+        monkeypatch.setattr(verify, "fuss_catalan", refuse)
+        assert len(flip_graph(DiskConfig(2, 12)).nodes) == 273
+
+    def test_counts_run_each_oracle_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("enumerate_angulations", "flip_graph", "maximal_set_sizes"):
+            monkeypatch.setattr(disk, name, counted(name, getattr(disk, name)))
+        monkeypatch.setattr(verify, "DISK_MATRIX", [DiskConfig(2, 10)])
+        monkeypatch.setattr(verify, "ANNULUS_MATRIX", [])
+        reports = run_suite("counts", steps=5)
+        assert all(r.passed and r.cases for r in reports)
+        assert calls == {"enumerate_angulations": 1, "flip_graph": 1,
+                         "maximal_set_sizes": 1}
 
 
 class TestFailureRecords:
