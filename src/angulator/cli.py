@@ -10,6 +10,7 @@ The ANGULATOR_GUARD environment variable overrides the enumeration guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -111,11 +112,7 @@ def cmd_mutate(args) -> int:
 
 def cmd_flip(args) -> int:
     angulation = _load_angulation(_read_input(args.input))
-    arcs = (
-        angulation.diagonals
-        if isinstance(angulation, disk.DiskAngulation)
-        else angulation.arcs
-    )
+    arcs = angulation.arcs
     if not (0 <= args.arc < len(arcs)):
         raise CliError(EXIT_RANGE, f"arc index {args.arc} outside 0..{len(arcs) - 1}")
     try:
@@ -190,10 +187,15 @@ def _count(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)
+def build_parser(guard: str) -> argparse.ArgumentParser:
+    """The parser for one ANGULATOR_GUARD string, kept while the value
+    stays the same, so repeated in-process ``main`` calls (the CLI tests,
+    a script driving the CLI) build it once.  ``parse_args`` keeps no
+    state in it, and ``main`` dispatches the subcommands by name, so it
+    holds no command functions either."""
     # a string default goes through _count only when the option is absent,
     # so a malformed ANGULATOR_GUARD is a usage error of the command using it
-    guard = os.environ.get("ANGULATOR_GUARD", str(DEFAULT_GUARD))
     guard_help = "enumeration guard (default: $ANGULATOR_GUARD, else 12)"
     parser = argparse.ArgumentParser(
         prog="angulator",
@@ -207,29 +209,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inverse", action="store_true")
     p.add_argument("--procedural", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_mutate)
 
     p = sub.add_parser("flip", help="flip an angulation at an arc index")
     p.add_argument("input")
     p.add_argument("--arc", type=int, required=True,
                    help="index into the canonical arc order")
-    p.set_defaults(func=cmd_flip)
 
     p = sub.add_parser("quiver", help="colored quiver of an angulation")
     p.add_argument("input")
     p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(func=cmd_quiver)
 
     p = sub.add_parser("validate", help="check a quiver or angulation JSON")
     p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("enumerate", help="count disk angulations")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--sides", type=int, required=True)
     p.add_argument("--dot", help="write the flip graph as DOT to this path")
     p.add_argument("--guard", type=_count, default=guard, help=guard_help)
-    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run theorem-checking suites")
     p.add_argument("--suite", choices=("all", "compat", "counts", "cut"),
@@ -238,15 +235,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=500,
                    help="random-walk length (also scales trial counts)")
     p.add_argument("--guard", type=_count, default=guard, help=guard_help)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    guard = os.environ.get("ANGULATOR_GUARD", str(DEFAULT_GUARD))
+    args = build_parser(guard).parse_args(argv)
+    # looked up per call, so a rebound cmd_* takes effect
+    commands = {
+        "mutate": cmd_mutate,
+        "flip": cmd_flip,
+        "quiver": cmd_quiver,
+        "validate": cmd_validate,
+        "enumerate": cmd_enumerate,
+        "verify": cmd_verify,
+    }
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

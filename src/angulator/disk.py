@@ -142,6 +142,11 @@ class DiskAngulation:
     def __repr__(self):
         return "".join(map(repr, self.diagonals)) or "(empty)"
 
+    @property
+    def arcs(self) -> tuple[Diagonal, ...]:
+        """The diagonals, under the name AnnulusAngulation uses."""
+        return self.diagonals
+
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         # the object is immutable, so it is checked at most once

@@ -10,7 +10,6 @@ arithmetic is always modulo m + 1.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -150,36 +149,50 @@ class ColoredQuiver:
         commute with mutation; it agrees with the three-step procedure.
 
         Only pairs that already carry an arrow, or that a path i -> k -> j
-        joins, are visited: for any other pair every term of the formula
-        is zero, so skipping it is exact for every input, valid or not.
+        joins, are visited, and of each only the colours the formula can
+        make positive: those of (i, j), those of (i, k) when k -(0)-> j
+        exists and those of (k, j) when i -(m)-> k exists.  At any other
+        colour c the terms in q(i,j,c), q(i,k,c) and q(k,j,c) vanish and
+        the rest are at most zero, as multiplicities are positive, so
+        skipping it is exact for every input, valid or not, and the cost
+        does not depend on m.
         """
         self._check_vertex(k)
-        mm = self.m + 1
-        q = self.mult
-        pairs = {(i, j) for i, j, _ in self._mult if i != j}
-        into_k = {i for i, j, _ in self._mult if j == k and i != k}
-        out_of_k = {j for i, j, _ in self._mult if i == k and j != k}
+        m, mm = self.m, self.m + 1
+        at = {}  # (i, j) -> {colour: mult}, loops left out
+        for (i, j, c), v in self._mult.items():
+            if i != j:
+                at.setdefault((i, j), {})[c] = v
+        into_k = {i for i, j in at if j == k}
+        out_of_k = {j for i, j in at if i == k}
+        pairs = set(at)
         pairs.update((i, j) for i in into_k for j in out_of_k if i != j)
+        none = {}
         new = {}
         for i, j in pairs:
+            here = at.get((i, j), none)
             if i == k:
-                for c in range(mm):
-                    v = q(i, j, c + 1)
-                    if v:
-                        new[(i, j, c)] = v
+                for c, v in here.items():
+                    new[(i, j, (c - 1) % mm)] = v
             elif j == k:
-                for c in range(mm):
-                    v = q(i, j, c - 1)
-                    if v:
-                        new[(i, j, c)] = v
+                for c, v in here.items():
+                    new[(i, j, (c + 1) % mm)] = v
             else:
-                total = sum(q(i, j, t) for t in range(mm))
-                for c in range(mm):
+                ik = at.get((i, k), none)
+                kj = at.get((k, j), none)
+                kj0 = kj.get(0, 0)
+                ikm = ik.get(m, 0)
+                colours = set(here)
+                if kj0:
+                    colours.update(ik)
+                if ikm:
+                    colours.update(kj)
+                total = sum(here.values())
+                for c in colours:
                     v = (
-                        q(i, j, c)
-                        - (total - q(i, j, c))
-                        + (q(i, k, c) - q(i, k, c - 1)) * q(k, j, 0)
-                        + q(i, k, self.m) * (q(k, j, c) - q(k, j, c + 1))
+                        2 * here.get(c, 0) - total
+                        + (ik.get(c, 0) - ik.get((c - 1) % mm, 0)) * kj0
+                        + ikm * (kj.get(c, 0) - kj.get((c + 1) % mm, 0))
                     )
                     if v > 0:
                         new[(i, j, c)] = v
@@ -199,43 +212,53 @@ class ColoredQuiver:
         Step 1 composes paths through k with a color-0 second leg, step 2
         cancels clashing colors pairwise until monochromatic, step 3 adds 1
         to the color of every arrow into k and subtracts 1 from the color
-        of every arrow out of k.
+        of every arrow out of k.  Arrows are kept per vertex pair, so each
+        step visits only the colors a pair carries and the cost does not
+        depend on m.
         """
         self._check_vertex(k)
         mm = self.m + 1
-        work = Counter(self._mult)
+        work = {}  # (i, j) -> {colour: mult}
+        for (i, j, c), v in self._mult.items():
+            work.setdefault((i, j), {})[c] = v
         into_k = [((i, c), v) for (i, j, c), v in self._mult.items() if j == k]
         out0 = [(j, v) for (i, j, c), v in self._mult.items() if i == k and c == 0]
+
+        def add(i, j, c, v):
+            colours = work.setdefault((i, j), {})
+            colours[c] = colours.get(c, 0) + v
+
         # step 1: for every path i -(c)-> k -(0)-> j add i -(c)-> j, j -(m-c)-> i
         for (i, c), vi in into_k:
             for j, vj in out0:
                 if i == j:
                     continue
-                work[(i, j, c)] += vi * vj
-                work[(j, i, self.m - c)] += vi * vj
+                add(i, j, c, vi * vj)
+                add(j, i, self.m - c, vi * vj)
         # step 2: restore monochromaticity, ascending (i, j), mirrored removals
-        pairs = sorted({(i, j) for (i, j, c) in work if i < j})
-        for i, j in pairs:
+        for i, j in sorted(pair for pair in work if pair[0] < pair[1]):
+            colours = work[(i, j)]
             while True:
-                colors = sorted(c for c in range(mm) if work[(i, j, c)] > 0)
-                if len(colors) <= 1:
+                present = sorted(c for c, v in colours.items() if v > 0)
+                if len(present) <= 1:
                     break
-                c1, c2 = colors[0], colors[1]
-                r = min(work[(i, j, c1)], work[(i, j, c2)])
-                for a, b, c in ((i, j, c1), (i, j, c2)):
-                    work[(a, b, c)] -= r
-                work[(j, i, self.m - c1)] -= r
-                work[(j, i, self.m - c2)] -= r
+                c1, c2 = present[0], present[1]
+                r = min(colours[c1], colours[c2])
+                colours[c1] -= r
+                colours[c2] -= r
+                add(j, i, self.m - c1, -r)
+                add(j, i, self.m - c2, -r)
         # step 3: shift colors at k
         new = {}
-        for (i, j, c), v in work.items():
-            if v <= 0:
-                continue
-            if j == k:
-                c = (c + 1) % mm
-            elif i == k:
-                c = (c - 1) % mm
-            new[(i, j, c)] = new.get((i, j, c), 0) + v
+        for (i, j), colours in work.items():
+            for c, v in colours.items():
+                if v <= 0:
+                    continue
+                if j == k:
+                    c = (c + 1) % mm
+                elif i == k:
+                    c = (c - 1) % mm
+                new[(i, j, c)] = new.get((i, j, c), 0) + v
         return ColoredQuiver(self.m, self.n, new)
 
     # -- derived quivers and export ---------------------------------------

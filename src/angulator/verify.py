@@ -95,21 +95,15 @@ class _Timer:
         self.report.elapsed = time.perf_counter() - self.t0
 
 
-def _arcs_of(angulation):
-    if isinstance(angulation, disk.DiskAngulation):
-        return angulation.diagonals
-    return angulation.arcs
-
-
 def _completions_of(angulation, removed):
-    rest = [a for a in _arcs_of(angulation) if a != removed]
+    rest = [a for a in angulation.arcs if a != removed]
     if isinstance(angulation, disk.DiskAngulation):
         return disk.completions(angulation.config, rest, removed)
     return ann.completions(angulation.config, rest, removed)
 
 
 def _new_arc(before, after):
-    (arc,) = set(_arcs_of(after)) - set(_arcs_of(before))
+    (arc,) = set(after.arcs) - set(before.arcs)
     return arc
 
 
@@ -150,7 +144,7 @@ def random_walk(cfg, steps: int, seed: int):
     else:
         angulation = ann.initial_bridges(cfg)
     for _ in range(steps):
-        arcs = _arcs_of(angulation)
+        arcs = angulation.arcs
         if isinstance(cfg, DiskConfig):
             arc = arcs[rng.randrange(len(arcs))]
             yield angulation, arc
@@ -178,7 +172,7 @@ def check_flip_mutation(cases, suite="flip-mutation") -> VerificationReport:
     report = VerificationReport(suite)
     with _Timer(report):
         for angulation, arc in cases:
-            arcs = _arcs_of(angulation)
+            arcs = angulation.arcs
             k = arcs.index(arc)
             expected = angulation.quiver_of().mutate(k)
             flipped = angulation.flip(arc)
@@ -218,7 +212,7 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
     with _Timer(report):
         for angulation, arc in cases:
             q = angulation.quiver_of()
-            k = _arcs_of(angulation).index(arc)
+            k = angulation.arcs.index(arc)
             problems = q.validate()
             if not report.passes(not problems):
                 report.record(f"validate quiver_of {angulation}", "[]", repr(problems))

@@ -1,12 +1,14 @@
 import contextlib
 import io
 import json
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from angulator.annulus import AnnulusConfig, initial_bridges
+from angulator import cli
 from angulator.cli import main
 from angulator.disk import DiskConfig, initial_fan
 
@@ -91,6 +93,25 @@ class TestMutate:
         assert code == 0 and out.startswith("digraph")
 
 
+    @pytest.mark.parametrize("flag", [(), ("--procedural",)])
+    def test_cost_independent_of_m(self, capsys, flag):
+        m = 10_000_000
+        quiver = json.dumps({"m": m, "vertices": 2, "arrows": [
+            {"from": 0, "to": 1, "color": 0, "mult": 1},
+            {"from": 1, "to": 0, "color": m, "mult": 1},
+        ]})
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "mutate", quiver, "-k", "0", *flag)
+        elapsed = time.perf_counter() - start
+        # out of k: 0 - 1 wraps to m; into k: m + 1 wraps to 0
+        assert code == 0
+        assert json.loads(out) == {"m": m, "vertices": 2, "arrows": [
+            {"from": 0, "to": 1, "color": m, "mult": 1},
+            {"from": 1, "to": 0, "color": 0, "mult": 1},
+        ]}
+        assert elapsed < 0.5
+
+
 class TestFlip:
     def test_pentagon(self, capsys):
         code, out, _ = run(capsys, "flip", PENTAGON_FAN, "--arc", "0")
@@ -163,6 +184,47 @@ class TestUsageErrors:
         self.expect_usage_error(capsys, "verify", "--guard", "-3")
         self.expect_usage_error(capsys, "enumerate", "--m", "1", "--sides", "5",
                                 "--guard", "-1")
+
+
+class TestParserReuse:
+    """Repeated in-process main calls share a parser while the guard value
+    stays the same."""
+
+    def test_env_guard_read_per_call(self, capsys, monkeypatch):
+        argv = ("enumerate", "--m", "1", "--sides", "12")
+        monkeypatch.setenv("ANGULATOR_GUARD", "3")
+        assert run(capsys, *argv)[0] == 5
+        monkeypatch.delenv("ANGULATOR_GUARD")
+        assert run(capsys, *argv)[1] == "16796\n"
+        monkeypatch.setenv("ANGULATOR_GUARD", "x")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        monkeypatch.setenv("ANGULATOR_GUARD", "3")
+        assert run(capsys, *argv)[0] == 5
+
+    def test_flags_do_not_leak(self, capsys):
+        _, inverse, _ = run(capsys, "mutate", QUIVER_M2, "-k", "0", "--inverse")
+        _, dot, _ = run(capsys, "mutate", QUIVER_M2, "-k", "0", "--format", "dot")
+        code, plain, _ = run(capsys, "mutate", QUIVER_M2, "-k", "0")
+        assert inverse != plain and dot.startswith("digraph")
+        assert code == 0
+        assert json.loads(plain) == json.loads(QUIVER_M2) | {"arrows": [
+            {"from": 0, "to": 1, "color": 2, "mult": 1},
+            {"from": 1, "to": 0, "color": 0, "mult": 1},
+        ]}
+
+    def test_rebound_command_is_called(self, capsys, monkeypatch):
+        assert run(capsys, "validate", QUIVER_M2)[0] == 0
+        calls = []
+
+        def spy(args):
+            calls.append(args.input)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_validate", spy)
+        assert run(capsys, "validate", QUIVER_M2) == (0, "", "")
+        assert calls == [QUIVER_M2]
 
 
 class TestQuiverCmd:

@@ -164,6 +164,10 @@ class TestInitialFan:
         for m, r in itertools.product((1, 2, 3), range(5)):
             assert initial_fan(DiskConfig(m, (r + 1) * m + 2)).is_valid()
 
+    def test_arcs_are_the_diagonals(self):
+        fan = octagon_fan()
+        assert fan.arcs is fan.diagonals
+
 
 class TestFaces:
     def test_pentagon_fan(self):

@@ -11,10 +11,15 @@ def minimal_pair(m=2):
     return ColoredQuiver(m, 2, {(0, 1, 0): 1, (1, 0, m): 1})
 
 
+def colour_bounds(max_m):
+    """Mostly small m, and up to max_m so that colours wrap around."""
+    return st.integers(1, 3) | st.integers(1, max_m)
+
+
 @st.composite
-def valid_quivers(draw):
+def valid_quivers(draw, max_m=3):
     """Arbitrary quivers satisfying the three axioms."""
-    m = draw(st.integers(1, 3))
+    m = draw(colour_bounds(max_m))
     n = draw(st.integers(1, 4))
     arrows = {}
     for i, j in itertools.combinations(range(n), 2):
@@ -27,9 +32,9 @@ def valid_quivers(draw):
 
 
 @st.composite
-def any_quivers(draw):
+def any_quivers(draw, max_m=3):
     """Arbitrary arrow sets: loops, clashing colors and unpaired arrows."""
-    m = draw(st.integers(1, 3))
+    m = draw(colour_bounds(max_m))
     n = draw(st.integers(1, 5))
     keys = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, m))
     arrows = draw(st.dictionaries(keys, st.integers(1, 3), max_size=3 * n))
@@ -134,12 +139,12 @@ class TestMutate:
         assert "symmetry" not in axioms
 
 
-    @given(any_quivers(), st.integers(0, 4))
+    @given(any_quivers(max_m=40), st.integers(0, 4))
     @settings(max_examples=300)
     def test_sparse_matches_dense_on_any_quiver(self, q, k):
         assert q.mutate(k % q.n) == dense_mutate(q, k % q.n)
 
-    @given(valid_quivers(), st.integers(0, 3))
+    @given(valid_quivers(max_m=40), st.integers(0, 3))
     @settings(max_examples=100)
     def test_sparse_matches_dense_on_valid_quivers(self, q, k):
         assert q.mutate(k % q.n) == dense_mutate(q, k % q.n)
@@ -189,6 +194,18 @@ class TestProcedural:
             {(0, 1, 1): 1, (1, 0, 1): 1, (1, 2, 0): 2, (2, 1, 2): 2},
         )
         assert q.mutate_procedural(1) == q.mutate(1)
+
+    def test_does_not_call_the_formula(self, monkeypatch):
+        q = ColoredQuiver(
+            1, 3, {(0, 1, 0): 1, (1, 0, 1): 1, (1, 2, 0): 1, (2, 1, 1): 1}
+        )
+        expected = q.mutate(1)
+
+        def formula(*_):
+            raise AssertionError("mutate_procedural called mutate")
+
+        monkeypatch.setattr(ColoredQuiver, "mutate", formula)
+        assert q.mutate_procedural(1) == expected
 
 
 class TestGabriel:
