@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .disk import (
+    Angulation,
     Diagonal,
     DiskAngulation,
     DiskConfig,
@@ -194,27 +195,11 @@ def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
     return False
 
 
-class AnnulusAngulation:
+class AnnulusAngulation(Angulation):
     """A set of p+q pairwise noncrossing arcs cutting into (m+2)-gons."""
 
-    __slots__ = ("config", "arcs", "__dict__")
-
-    def __init__(self, config: AnnulusConfig, arcs: Iterable[ArcClass]):
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "arcs", tuple(sorted(set(arcs), key=arc_sort_key)))
-
-    def __setattr__(self, *_):
-        raise AttributeError("AnnulusAngulation is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AnnulusAngulation)
-            and self.config == other.config
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self):
-        return hash((self.config, self.arcs))
+    __slots__ = ()
+    _arc_key = staticmethod(arc_sort_key)
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.arcs)) + "}"
@@ -224,7 +209,6 @@ class AnnulusAngulation:
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
-        # the object is immutable, so it is checked at most once
         out = []
         for a in self.arcs:
             if not self.config.is_m_diagonal(a):
@@ -240,13 +224,6 @@ class AnnulusAngulation:
 
     def violations(self) -> list[str]:
         return list(self._problems)
-
-    def is_valid(self) -> bool:
-        return not self._problems
-
-    def _require_valid(self):
-        if self._problems:
-            raise InvalidAngulation("; ".join(self._problems))
 
     def rebased(self) -> "AnnulusAngulation":
         """Equivalent angulation with minimum bridge winding zero: itself
@@ -286,8 +263,7 @@ class AnnulusAngulation:
 
     def _flip_view(self, x: ArcClass) -> "CutView":
         """The view flip(x) works in: cut along the least other bridge."""
-        if x not in self.arcs:
-            raise NotInAngulation(f"{x} not in angulation")
+        self._require_arc(x)
         self._require_valid()
         others = [b for b in self.bridges() if b != x]
         if not others:
@@ -315,6 +291,12 @@ class AnnulusAngulation:
         building the flipped angulation."""
         view = self._flip_view(x)
         return not view.cut.encloses(view.disk.twist(view.diagonal[x]))
+
+    def completions(self, x: ArcClass) -> list[ArcClass]:
+        """The m+1 arcs completing the others, found afresh by the module
+        function ``completions``, not from a cut view."""
+        self._require_arc(x)
+        return completions(self.config, [a for a in self.arcs if a != x], x)
 
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per arc (canonical order).
@@ -385,6 +367,11 @@ def completions(
     partial = tuple(sorted(set(partial), key=arc_sort_key))
     if len(partial) != cfg.rank - 1:
         raise InvalidAngulation("input is not an almost-complete angulation")
+    for a in (removed, *partial):
+        if not cfg.is_m_diagonal(a):
+            raise InvalidAngulation(f"{a} is not an m-diagonal")
+    if removed in partial:
+        raise InvalidAngulation(f"{removed} is still present")
     for a in partial:
         if crosses(cfg, a, removed):
             raise InvalidAngulation(f"{removed} crosses {a}")
@@ -396,7 +383,10 @@ def completions(
     cut = BridgeCut(cfg, ref)
     from .disk import completions as disk_completions
 
-    disk_partial = [cut.to_disk(a) for a in partial if a != ref]
+    try:
+        disk_partial = [cut.to_disk(a) for a in partial if a != ref]
+    except ValueError as exc:  # an arc crossing the bridge cut along
+        raise InvalidAngulation(f"{exc} {ref}") from None
     out = []
     for diag in disk_completions(cut.disk, disk_partial, cut.to_disk(removed)):
         out.append(cut.from_disk(diag))
@@ -555,23 +545,6 @@ class CutView:
 
 
 @dataclass(frozen=True)
-class AnnulusBridgeCutResult:
-    """Public cut result along a bridge: one disk plus transport maps."""
-
-    cut: BridgeCut
-
-    @property
-    def disk(self) -> DiskConfig:
-        return self.cut.disk
-
-    def transport(self, arc: ArcClass) -> Diagonal:
-        return self.cut.to_disk(arc)
-
-    def pull_back(self, diag: Diagonal) -> ArcClass:
-        return self.cut.from_disk(diag)
-
-
-@dataclass(frozen=True)
 class AnnulusChordCutResult:
     """Public cut result along a chord: a smaller annulus plus a disk."""
 
@@ -579,25 +552,6 @@ class AnnulusChordCutResult:
     chord: OuterChord | InnerChord
     annulus: AnnulusConfig
     disk: DiskConfig
-
-    def _relabel(self, v: int) -> int:
-        """New boundary label of a surviving vertex on the cut boundary."""
-        length = (
-            self.config.outer_len
-            if isinstance(self.chord, OuterChord)
-            else self.config.inner_len
-        )
-        end = (self.chord.start + self.chord.span - 1) % length + 1
-        return (v - end) % length + 1
-
-    def _winding_shift(self, v: int) -> int:
-        length = (
-            self.config.outer_len
-            if isinstance(self.chord, OuterChord)
-            else self.config.inner_len
-        )
-        end = (self.chord.start + self.chord.span - 1) % length + 1
-        return 1 if v < end else 0
 
     def transport(self, arc: ArcClass) -> tuple[str, ArcClass | Diagonal]:
         """('annulus', arc) or ('disk', diagonal) for a noncrossing arc."""
@@ -608,14 +562,18 @@ class AnnulusChordCutResult:
             raise ValueError(f"{arc} crosses the cut chord")
         outer_side = isinstance(ch, OuterChord)
         length = cfg.outer_len if outer_side else cfg.inner_len
+        end = (ch.start + ch.span - 1) % length + 1
+
+        def relabel(v: int) -> int:
+            """New boundary label of a surviving vertex on the cut boundary."""
+            return (v - end) % length + 1
+
         if isinstance(arc, Bridge):
             v = arc.outer if outer_side else arc.inner
-            nv = self._relabel(v)
+            shift = 1 if v < end else 0
             if outer_side:
-                w = arc.winding + self._winding_shift(v)
-                return ("annulus", Bridge(nv, arc.inner, w))
-            w = arc.winding - self._winding_shift(v)
-            return ("annulus", Bridge(arc.outer, nv, w))
+                return ("annulus", Bridge(relabel(v), arc.inner, arc.winding + shift))
+            return ("annulus", Bridge(arc.outer, relabel(v), arc.winding - shift))
         same_side = type(arc) is type(ch)
         if not same_side:
             return ("annulus", arc)
@@ -623,23 +581,20 @@ class AnnulusChordCutResult:
         off = (arc.start - ch.start) % length
         if off + arc.span <= ch.span:
             return ("disk", Diagonal(1 + off, 1 + off + arc.span))
-        n_start = self._relabel(arc.start)
-        end = (arc.start + arc.span - 1) % length + 1
-        n_end = self._relabel(end)
+        n_start = relabel(arc.start)
+        n_end = relabel((arc.start + arc.span - 1) % length + 1)
         new_len = length - ch.span + 1
         n_span = (n_end - n_start) % new_len
         kind = OuterChord if outer_side else InnerChord
         return ("annulus", kind(n_start, n_span))
 
 
-def cut_along(
-    cfg: AnnulusConfig, arc: ArcClass
-) -> AnnulusBridgeCutResult | AnnulusChordCutResult:
+def cut_along(cfg: AnnulusConfig, arc: ArcClass) -> BridgeCut | AnnulusChordCutResult:
     """Cut the annulus along an arc into smaller model surfaces."""
     if not cfg.is_m_diagonal(arc):
         raise InvalidAngulation(f"{arc} is not an m-diagonal")
     if isinstance(arc, Bridge):
-        return AnnulusBridgeCutResult(BridgeCut(cfg, arc))
+        return BridgeCut(cfg, arc)
     if isinstance(arc, OuterChord):
         new_p = cfg.p - (arc.span - 1) // cfg.m
         smaller = AnnulusConfig(cfg.m, new_p, cfg.q)

@@ -117,54 +117,35 @@ class DiskConfig:
         return diff == self.m + 1 or diff == self.sides - self.m - 1
 
 
-class DiskAngulation:
-    """A maximal noncrossing set of m-diagonals, canonically sorted."""
+class Angulation:
+    """What the disk and annulus angulations share: an immutable set of
+    arcs of one configuration, in the model's canonical order, checked at
+    most once.
 
-    __slots__ = ("config", "diagonals", "__dict__")
+    A model class defines ``_problems`` (its violations, as a tuple) and
+    ``violations``, ``flip``, ``completions``, ``faces`` and ``quiver_of``
+    in its own namespace, where the span tracer of ``perfbench`` finds them.
+    """
 
-    def __init__(self, config: DiskConfig, diagonals: Iterable[Diagonal]):
+    __slots__ = ("config", "arcs", "__dict__")
+    _arc_key = None  # the sort key of the canonical arc order
+
+    def __init__(self, config, arcs: Iterable):
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "diagonals", tuple(sorted(set(diagonals))))
+        object.__setattr__(self, "arcs", tuple(sorted(set(arcs), key=self._arc_key)))
 
     def __setattr__(self, *_):
-        raise AttributeError("DiskAngulation is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         return (
-            isinstance(other, DiskAngulation)
+            type(other) is type(self)
             and self.config == other.config
-            and self.diagonals == other.diagonals
+            and self.arcs == other.arcs
         )
 
     def __hash__(self):
-        return hash((self.config, self.diagonals))
-
-    def __repr__(self):
-        return "".join(map(repr, self.diagonals)) or "(empty)"
-
-    @property
-    def arcs(self) -> tuple[Diagonal, ...]:
-        """The diagonals, under the name AnnulusAngulation uses."""
-        return self.diagonals
-
-    @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        # the object is immutable, so it is checked at most once
-        out = []
-        for d in self.diagonals:
-            if not self.config.is_m_diagonal(d.a, d.b):
-                out.append(f"{d} is not an m-diagonal")
-        for d, e in itertools.combinations(self.diagonals, 2):
-            if crosses(d, e):
-                out.append(f"{d} crosses {e}")
-        if len(self.diagonals) != self.config.rank:
-            out.append(
-                f"{len(self.diagonals)} diagonals, expected {self.config.rank}"
-            )
-        return tuple(out)
-
-    def violations(self) -> list[str]:
-        return list(self._problems)
+        return hash((self.config, self.arcs))
 
     def is_valid(self) -> bool:
         return not self._problems
@@ -172,6 +153,50 @@ class DiskAngulation:
     def _require_valid(self):
         if self._problems:
             raise InvalidAngulation("; ".join(self._problems))
+
+    def _require_arc(self, x):
+        if x not in self.arcs:
+            raise NotInAngulation(f"{x} not in angulation")
+
+    def can_flip(self, x) -> bool:
+        """False iff flip(x) would leave the model; a disk flip never does."""
+        self._require_arc(x)
+        return True
+
+    def rebased(self) -> "Angulation":
+        """The equivalent angulation in normal form; a disk has no Dehn
+        twist, so it is itself."""
+        return self
+
+
+class DiskAngulation(Angulation):
+    """A maximal noncrossing set of m-diagonals, canonically sorted."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "".join(map(repr, self.arcs)) or "(empty)"
+
+    @property
+    def diagonals(self) -> tuple[Diagonal, ...]:
+        """The arcs, under the disk's name for them."""
+        return self.arcs
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        out = []
+        for d in self.arcs:
+            if not self.config.is_m_diagonal(d.a, d.b):
+                out.append(f"{d} is not an m-diagonal")
+        for d, e in itertools.combinations(self.arcs, 2):
+            if crosses(d, e):
+                out.append(f"{d} crosses {e}")
+        if len(self.arcs) != self.config.rank:
+            out.append(f"{len(self.arcs)} diagonals, expected {self.config.rank}")
+        return tuple(out)
+
+    def violations(self) -> list[str]:
+        return list(self._problems)
 
     def _face(self, cycle: Sequence[int]) -> Face:
         S = self.config.sides
@@ -186,7 +211,7 @@ class DiskAngulation:
         # the public callers check validity, because flip() sets this
         # directly for its result
         cycle = list(range(1, self.config.sides + 1))
-        chords = [frozenset((d.a, d.b)) for d in self.diagonals]
+        chords = [frozenset((d.a, d.b)) for d in self.arcs]
         return tuple(map(self._face, split_regions(cycle, chords)))
 
     def faces(self) -> list[Face]:
@@ -198,7 +223,7 @@ class DiskAngulation:
     @cached_property
     def _faces_at(self) -> dict[Diagonal, list[Face]]:
         """The faces on either side of each diagonal."""
-        out = {d: [] for d in self.diagonals}
+        out = {d: [] for d in self.arcs}
         for face in self._faces:
             for side in face.sides:
                 if side in out:
@@ -207,8 +232,7 @@ class DiskAngulation:
 
     def merged_region(self, d: Diagonal) -> tuple[int, ...]:
         """Vertex cycle of the (2m+2)-gon around d, clockwise."""
-        if d not in self.diagonals:
-            raise NotInAngulation(f"{d} not in angulation")
+        self._require_arc(d)
         self._require_valid()
         adjacent = self._faces_at[d]
         assert len(adjacent) == 2, "a diagonal borders exactly two faces"
@@ -228,7 +252,7 @@ class DiskAngulation:
         region = list(self.merged_region(d))
         new = region_twist(region, d, self.config.m)
         out = DiskAngulation(
-            self.config, [e for e in self.diagonals if e != d] + [new]
+            self.config, [e for e in self.arcs if e != d] + [new]
         )
         i, j = region.index(new.a), region.index(new.b)
         halves = (
@@ -240,11 +264,17 @@ class DiskAngulation:
         out.__dict__["_faces"] = kept + halves  # fills the cached property
         return out
 
+    def completions(self, d: Diagonal) -> list[Diagonal]:
+        """The m+1 diagonals completing the others, found afresh by the
+        module function ``completions``, not from the faces."""
+        self._require_arc(d)
+        return completions(self.config, [e for e in self.arcs if e != d], d)
+
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal (canonical order)."""
         self._require_valid()
         return quiver_from_faces(
-            self.config.m, order or self.diagonals, self._faces
+            self.config.m, order or self.arcs, self._faces
         )
 
     def to_json_dict(self) -> dict:
@@ -252,7 +282,7 @@ class DiskAngulation:
             "type": "disk",
             "m": self.config.m,
             "sides": self.config.sides,
-            "diagonals": [[d.a, d.b] for d in self.diagonals],
+            "diagonals": [[d.a, d.b] for d in self.arcs],
         }
 
     @classmethod
@@ -293,9 +323,10 @@ def completions(
     partial = tuple(sorted(set(partial)))
     if len(partial) != cfg.rank - 1 or cfg.rank < 1:
         raise InvalidAngulation("input is not an almost-complete angulation")
-    for d in partial:
+    for d in (removed, *partial):
         if not cfg.is_m_diagonal(d.a, d.b):
             raise InvalidAngulation(f"{d} is not an m-diagonal")
+    for d in partial:
         if crosses(d, removed):
             raise InvalidAngulation(f"{removed} crosses {d}")
     for d, e in itertools.combinations(partial, 2):
@@ -521,7 +552,7 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
     _check_guard(cfg, guard)
     bit = {d: 1 << i for i, d in enumerate(cfg.all_diagonals())}
     start = initial_fan(cfg)
-    key = sum(bit[d] for d in start.diagonals)
+    key = sum(bit[d] for d in start.arcs)
     index = {key: 0}
     order = [start]
     edges = set()
@@ -529,7 +560,7 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
     while queue:
         node, key = queue.pop()
         i = index[key]
-        for d in node.diagonals:
+        for d in node.arcs:
             child = key ^ bit[d] ^ bit[node.twist(d)]
             j = index.get(child)
             if j is None:

@@ -95,13 +95,6 @@ class _Timer:
         self.report.elapsed = time.perf_counter() - self.t0
 
 
-def _completions_of(angulation, removed):
-    rest = [a for a in angulation.arcs if a != removed]
-    if isinstance(angulation, disk.DiskAngulation):
-        return disk.completions(angulation.config, rest, removed)
-    return ann.completions(angulation.config, rest, removed)
-
-
 def _new_arc(before, after):
     (arc,) = set(after.arcs) - set(before.arcs)
     return arc
@@ -135,32 +128,25 @@ def is_linear_path(pq: PlainQuiver) -> bool:
 def random_walk(cfg, steps: int, seed: int):
     """Deterministic random flip walk; yields (angulation, arc-to-flip).
 
-    For annulus configurations with m = 1 the arc is drawn among the
-    positions whose flip stays inside the three-kind arc model.
+    The arc is drawn among the positions that ``can_flip`` admits: every
+    arc, except on annuli with m = 1, where a flip can leave the three-kind
+    arc model.
     """
     rng = random.Random(seed)
-    if isinstance(cfg, DiskConfig):
-        angulation = disk.initial_fan(cfg)
-    else:
-        angulation = ann.initial_bridges(cfg)
+    start = disk.initial_fan if isinstance(cfg, DiskConfig) else ann.initial_bridges
+    angulation = start(cfg)
     for _ in range(steps):
-        arcs = angulation.arcs
-        if isinstance(cfg, DiskConfig):
-            arc = arcs[rng.randrange(len(arcs))]
-            yield angulation, arc
-            angulation = angulation.flip(arc)
-        else:
-            flippable = [a for a in arcs if angulation.can_flip(a)]
-            arc = flippable[rng.randrange(len(flippable))]
-            yield angulation, arc
-            angulation = angulation.flip(arc).rebased()
+        flippable = [a for a in angulation.arcs if angulation.can_flip(a)]
+        arc = flippable[rng.randrange(len(flippable))]
+        yield angulation, arc
+        angulation = angulation.flip(arc).rebased()
 
 
 def all_disk_cases(cfg: DiskConfig, guard: int = DEFAULT_GUARD):
     """Every (angulation, diagonal) pair of a configuration."""
     _, angulations = disk.enumerate_angulations(cfg, guard=guard, collect=True)
     for angulation in angulations:
-        for d in angulation.diagonals:
+        for d in angulation.arcs:
             yield angulation, d
 
 
@@ -190,7 +176,7 @@ def check_flip_cycle(cases, suite="flip-cycle") -> VerificationReport:
     with _Timer(report):
         for angulation, arc in cases:
             m = angulation.config.m
-            comps = _completions_of(angulation, arc)
+            comps = angulation.completions(arc)
             if not report.passes(len(comps) == m + 1 and comps[-1] == arc):
                 report.record(f"{angulation} completions at {arc}",
                               f"{m + 1} ending with {arc}", repr(comps))
@@ -300,7 +286,7 @@ def check_gabriel(cfg: DiskConfig) -> VerificationReport:
 
 def _check_disk_cut(report, cfg, angulation, d):
     cut = disk.cut_along(cfg, d)
-    rest = [e for e in angulation.diagonals if e != d]
+    rest = [e for e in angulation.arcs if e != d]
     placed = {e: cut.transport(e) for e in rest}
     for e, f in itertools.combinations(rest, 2):
         pe, le = placed[e]
@@ -332,28 +318,28 @@ def _check_disk_cut(report, cfg, angulation, d):
 
 
 def _check_annulus_bridge_cut(report, cfg, angulation, y):
-    res = ann.cut_along(cfg, y)
+    cut = ann.cut_along(cfg, y)
     rest = [a for a in angulation.arcs if a != y]
-    placed = {a: res.transport(a) for a in rest}
+    placed = {a: cut.to_disk(a) for a in rest}
     for a, b in itertools.combinations(rest, 2):
         got = disk.crosses(placed[a], placed[b])
         want = ann.crosses(cfg, a, b)
         if not report.passes(got == want):
             report.record(f"crossing {a},{b} under cut {y}", want, got)
     for a in rest:
-        if not report.passes(res.disk.is_m_diagonal(placed[a].a, placed[a].b)):
+        if not report.passes(cut.disk.is_m_diagonal(placed[a].a, placed[a].b)):
             report.record(f"validity of {a} under cut {y}", True, False)
-        back = res.pull_back(placed[a])
+        back = cut.from_disk(placed[a])
         if not report.passes(back == a):
             report.record(f"round trip of {a} under cut {y}", a, back)
     # flips away from the cut commute with transport (also exercises the
     # independence of the flip from the bridge chosen internally)
-    disk_ang = disk.DiskAngulation(res.disk, list(placed.values()))
+    disk_ang = disk.DiskAngulation(cut.disk, list(placed.values()))
     for a in rest:
         if not angulation.can_flip(a):
             continue
         new_arc = _new_arc(angulation, angulation.flip(a))
-        flipped_back = res.pull_back(disk_ang.twist(placed[a]))
+        flipped_back = cut.from_disk(disk_ang.twist(placed[a]))
         if not report.passes(flipped_back == new_arc):
             report.record(f"flip of {a} commutes with cut {y}", new_arc, flipped_back)
 
@@ -394,7 +380,7 @@ def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
     with _Timer(report):
         for angulation, _ in cases:
             if isinstance(cfg, DiskConfig):
-                ears = [d for d in angulation.diagonals if cfg.is_m_ear(d)]
+                ears = [d for d in angulation.arcs if cfg.is_m_ear(d)]
                 _check_disk_cut(report, cfg, angulation, ears[0])
             else:
                 _check_annulus_bridge_cut(report, cfg, angulation,
@@ -491,10 +477,10 @@ def check_annulus_maximal(
 
 
 def _compat_cases(cfg, steps, seed, guard):
-    if isinstance(cfg, DiskConfig):
-        if fuss_catalan(cfg.m, cfg.rank + 1) <= COMPAT_ENUM_CAP:
-            return list(all_disk_cases(cfg, guard))
-        return list(random_walk(cfg, steps, seed))
+    if isinstance(cfg, DiskConfig) and (
+        fuss_catalan(cfg.m, cfg.rank + 1) <= COMPAT_ENUM_CAP
+    ):
+        return list(all_disk_cases(cfg, guard))
     return list(random_walk(cfg, steps, seed))
 
 

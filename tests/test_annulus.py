@@ -307,6 +307,30 @@ class TestCompletions:
             (new_arc,) = set(flipped.arcs) - set(ang.arcs)
             assert new_arc == completions(C43, rest, arc)[0]
 
+    def test_out_of_range_arc_rejected(self):
+        arcs = initial_bridges(C43).arcs
+        with pytest.raises(IndexError):
+            completions(C43, arcs[1:], Bridge(99, 1, 0))
+        with pytest.raises(IndexError):
+            completions(C43, arcs[1:-1] + (Bridge(1, 99, 0),), arcs[0])
+
+    def test_non_m_diagonal_rejected(self):
+        arcs = initial_bridges(C43).arcs
+        with pytest.raises(InvalidAngulation, match="OC.O1,2. is not an m-diagonal"):
+            completions(C43, arcs[1:], OuterChord(1, 2))
+        with pytest.raises(InvalidAngulation, match="OC.O1,2. is not an m-diagonal"):
+            completions(C43, arcs[1:-1] + (OuterChord(1, 2),), arcs[0])
+
+    def test_arc_crossing_the_least_bridge_rejected(self):
+        arcs = initial_bridges(C43).arcs  # the least bridge is B(O1,I1,0)
+        with pytest.raises(InvalidAngulation, match="crosses"):
+            completions(C43, arcs[:-2] + (Bridge(7, 1, 2),), arcs[-1])
+
+    def test_removed_arc_still_present_rejected(self):
+        arcs = initial_bridges(C43).arcs
+        with pytest.raises(InvalidAngulation, match="still present"):
+            completions(C43, arcs[1:], arcs[1])
+
 
 class TestQuiverOf:
     def test_kronecker(self):
@@ -374,9 +398,9 @@ class TestCutAlong:
         for a in ang.arcs:
             if a == y:
                 continue
-            diag = res.transport(a)
+            diag = res.to_disk(a)
             assert res.disk.is_m_diagonal(diag.a, diag.b)
-            assert res.pull_back(diag) == a
+            assert res.from_disk(diag) == a
 
     def test_bridge_cut_preserves_crossings(self):
         pool = [Bridge(o, i, w) for o in (1, 3) for i in (1, 4) for w in (0, 1)]
@@ -384,7 +408,7 @@ class TestCutAlong:
         y = Bridge(2, 2, 0)
         res = cut_along(C43, y)
         ok = [a for a in pool if not crosses(C43, a, y)]
-        placed = {a: res.transport(a) for a in ok}
+        placed = {a: res.to_disk(a) for a in ok}
         for a, b in itertools.combinations(ok, 2):
             assert disk_crosses(placed[a], placed[b]) == crosses(C43, a, b)
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import time
@@ -301,6 +302,17 @@ class TestVerifyCmd:
         _, a, _ = run(capsys, "verify", "--suite", "cut", "--steps", "3", "--seed", "9")
         _, b, _ = run(capsys, "verify", "--suite", "cut", "--steps", "3", "--seed", "9")
         assert a == b
+
+    def test_all_suites_output_pinned(self, capsys, monkeypatch):
+        # a refactor must leave the report bytes as they are; the digest
+        # changes only with a deliberate change to a suite or its cases
+        monkeypatch.delenv("ANGULATOR_GUARD", raising=False)
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--steps", "20",
+                           "--seed", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "39d5bc7a90c65ea34d85ab413b32457486206327470249c5c3d6f8f37190bd2a"
+        )
 
 
 class TestFileInput(object):

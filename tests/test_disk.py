@@ -283,6 +283,15 @@ class TestCompletions:
         with pytest.raises(InvalidAngulation):
             completions(DiskConfig(2, 4), [], Diagonal(1, 3))
 
+    def test_removed_out_of_range_rejected(self):
+        hexagon = DiskConfig(1, 6)
+        with pytest.raises(IndexError):
+            completions(hexagon, [Diagonal(1, 3), Diagonal(1, 4)], Diagonal(1, 60))
+
+    def test_removed_not_m_diagonal_rejected(self):
+        with pytest.raises(InvalidAngulation, match=r"\(1,3\) is not an m-diagonal"):
+            completions(OCTAGON, [Diagonal(1, 6)], Diagonal(1, 3))
+
     def test_flip_takes_the_first_completion(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11)):
             _, angulations = enumerate_angulations(cfg, collect=True)

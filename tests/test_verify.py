@@ -8,11 +8,12 @@ from angulator.annulus import (
     UnsupportedFlip,
     initial_bridges,
 )
-from angulator import disk, verify
+from angulator import annulus, disk, verify
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
     DiskConfig,
+    NotInAngulation,
     enumerate_angulations,
     flip_graph,
     initial_fan,
@@ -38,6 +39,7 @@ from angulator.verify import (
 )
 
 PENTAGON = DiskConfig(1, 5)
+WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
 
 
 class TestReport:
@@ -92,8 +94,7 @@ class TestWalks:
         for cfg in (DiskConfig(2, 10), AnnulusConfig(1, 2, 2), AnnulusConfig(2, 4, 3)):
             for ang, arc in random_walk(cfg, 60, 3):
                 assert ang.is_valid()
-                arcs = ang.diagonals if isinstance(cfg, DiskConfig) else ang.arcs
-                assert arc in arcs
+                assert arc in ang.arcs
 
     def test_annulus_walk_avoids_unsupported_positions(self):
         for ang, arc in random_walk(AnnulusConfig(1, 2, 1), 40, 0):
@@ -132,8 +133,7 @@ class TestWalkCaches:
             for ref in ang.bridges():
                 assert cells(ang.faces(ref)) == cells(fresh.faces(ref))
 
-    @pytest.mark.parametrize("cfg", [DiskConfig(1, 9), DiskConfig(2, 14),
-                                     DiskConfig(3, 17)], ids=repr)
+    @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
     def test_flipped_disk_carries_the_faces_of_a_fresh_one(self, cfg):
         for ang, arc in random_walk(cfg, 30, 7):
             fresh = DiskAngulation(cfg, ang.diagonals)
@@ -146,6 +146,80 @@ class TestWalkCaches:
         for ang, _ in random_walk(cfg, 25, 2):
             trial = [a for a in ang.arcs if not isinstance(flip_outcome(ang, a), str)]
             assert [a for a in ang.arcs if ang.can_flip(a)] == trial
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestAngulationInterface:
+    """The disk and the annulus answer the same questions the same way."""
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
+    def test_completions_method_is_the_module_function(self, cfg):
+        module = disk if isinstance(cfg, DiskConfig) else annulus
+        for ang, _ in random_walk(cfg, 12, 4):
+            for x in ang.arcs:
+                if ang.can_flip(x):
+                    rest = [a for a in ang.arcs if a != x]
+                    assert ang.completions(x) == module.completions(cfg, rest, x)
+
+    def test_disk_can_flip_every_arc_and_no_foreign_one(self):
+        ang = initial_fan(DiskConfig(2, 10))
+        assert all(ang.can_flip(d) for d in ang.arcs)
+        with pytest.raises(NotInAngulation):
+            ang.can_flip(Diagonal(2, 5))
+        with pytest.raises(NotInAngulation):
+            ang.completions(Diagonal(2, 5))
+
+    def test_disk_rebased_is_itself(self):
+        ang = initial_fan(DiskConfig(2, 10))
+        assert ang.rebased() is ang
+
+    def test_disk_and_annulus_never_equal(self):
+        empty_disk = DiskAngulation(DiskConfig(2, 4), [])
+        empty_annulus = AnnulusAngulation(AnnulusConfig(2, 1, 1), [])
+        assert empty_disk.arcs == empty_annulus.arcs
+        assert empty_disk != empty_annulus and empty_annulus != empty_disk
+        assert initial_fan(PENTAGON) != initial_bridges(AnnulusConfig(1, 1, 1))
+
+    @pytest.mark.parametrize("ang", [initial_fan(PENTAGON),
+                                     initial_bridges(AnnulusConfig(1, 1, 1))],
+                             ids=["disk", "annulus"])
+    def test_assignment_names_the_class(self, ang):
+        name = type(ang).__name__
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            ang.arcs = ()
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            ang.extra = 1
+
+    def test_flip_cycle_uses_the_module_completions(self, monkeypatch):
+        calls = {}
+        for module in (disk, annulus):
+            monkeypatch.setattr(module, "completions",
+                                counted(calls, module.__name__, module.completions))
+        cases = list(random_walk(DiskConfig(2, 10), 6, 1))
+        assert check_flip_cycle(cases).passed
+        assert calls == {"angulator.disk": 6}
+        calls.clear()
+        cases = list(random_walk(AnnulusConfig(2, 2, 1), 5, 1))
+        assert check_flip_cycle(cases).passed
+        assert calls == {"angulator.annulus": 5, "angulator.disk": 5}
+
+    def test_completions_split_the_partial_set_afresh(self, monkeypatch):
+        # and do not read the faces the angulation already holds
+        calls = {}
+        monkeypatch.setattr(disk, "split_regions",
+                            counted(calls, "split", disk.split_regions))
+        for cfg in (DiskConfig(2, 10), AnnulusConfig(2, 2, 1)):
+            for ang, arc in random_walk(cfg, 5, 1):
+                ang.faces()
+                calls.clear()
+                ang.completions(arc)
+                assert calls == {"split": 1}
 
 
 def refuse(*args, **kwargs):
@@ -173,15 +247,8 @@ class TestOracleIndependence:
 
     def test_counts_run_each_oracle_once(self, monkeypatch):
         calls = {}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-            return wrapper
-
         for name in ("enumerate_angulations", "flip_graph", "maximal_set_sizes"):
-            monkeypatch.setattr(disk, name, counted(name, getattr(disk, name)))
+            monkeypatch.setattr(disk, name, counted(calls, name, getattr(disk, name)))
         monkeypatch.setattr(verify, "DISK_MATRIX", [DiskConfig(2, 10)])
         monkeypatch.setattr(verify, "ANNULUS_MATRIX", [])
         reports = run_suite("counts", steps=5)
