@@ -393,8 +393,9 @@ class DiskCut:
         a, b = self.chord.a, self.chord.b
         if a <= e.a and e.b <= b:
             return 1, Diagonal(e.a - a + 1, e.b - a + 1)
-        inv2 = {g: i + 1 for i, g in enumerate(self.map2)}
-        return 2, Diagonal(inv2[e.a], inv2[e.b])
+        # inverse of map2: piece-2 label i is global (b + i - 2) % S + 1
+        sides = self.config.sides
+        return 2, Diagonal((e.a - b) % sides + 1, (e.b - b) % sides + 1)
 
     def pull_back(self, piece: int, e: Diagonal) -> Diagonal:
         mapping = self.map1 if piece == 1 else self.map2

@@ -260,7 +260,13 @@ def check_counts(
 def check_connectivity(
     cfg: DiskConfig, guard: int = DEFAULT_GUARD, oracles: DiskOracles | None = None
 ) -> VerificationReport:
-    """The flip graph is connected and reaches every enumerated angulation."""
+    """The flip graph is connected and reaches every enumerated angulation.
+
+    The "connected" case holds by construction: ``flip_graph`` builds the
+    graph by a BFS from the initial fan.  The connectivity evidence is the
+    other case, that every enumerated angulation is among the nodes,
+    together with the equal counts that ``check_counts`` asserts.
+    """
     report = VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}")
     oracles = oracles or DiskOracles(cfg, guard)
     with _Timer(report):
@@ -391,19 +397,6 @@ def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
     return report
 
 
-def _partial_cells_ok(cfg: ann.AnnulusConfig, arcs) -> bool:
-    """True iff every cell of a partial arc system has size 2 (mod m), the
-    condition for completability to an (m+2)-angulation.  Needs a bridge."""
-    from .faces import split_regions
-
-    bridges = [a for a in arcs if isinstance(a, ann.Bridge)]
-    cut = ann.BridgeCut(cfg, min(bridges, key=ann.arc_sort_key))
-    diags = [cut.to_disk(a) for a in arcs if a != cut.bridge]
-    cycle = list(range(1, cut.disk.sides + 1))
-    chords = [frozenset((d.a, d.b)) for d in diags]
-    return all((len(r) - 2) % cfg.m == 0 for r in split_regions(cycle, chords))
-
-
 def check_annulus_maximal(
     cfg: ann.AnnulusConfig, trials: int, seed: int
 ) -> VerificationReport:
@@ -445,24 +438,30 @@ def check_annulus_maximal(
             return True
 
         for _ in range(trials):
-            chosen = [ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
-                                     rng.randrange(1, cfg.inner_len + 1),
-                                     rng.randrange(-1, 2))]]
-            taken = set(chosen)
+            first = ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
+                                   rng.randrange(1, cfg.inner_len + 1),
+                                   rng.randrange(-1, 2))]
+            chosen = [first]
             order = rng.sample(range(len(pool)), len(pool))
-            progress = True
-            while progress:
-                progress = False
-                for idx in order:
-                    if (
-                        idx not in taken
-                        and compatible(idx, chosen)
-                        and _partial_cells_ok(
-                            cfg, [pool[j] for j in chosen] + [pool[idx]])
-                    ):
+            # The first arc is a bridge and stays chosen: cut along it.
+            # The cells of the chosen set all have size 2 (mod m) iff every
+            # chosen arc is an m-diagonal of the cut disk, an N-gon with
+            # N = 2 (mod m): a chord cutting it into two pieces of size
+            # 2 (mod m).  Congruences below are mod m.  If every cell has
+            # size 2, a piece of c cells glued along c - 1 chords has size
+            # 2c - 2(c - 1) = 2.  If every chord is an m-diagonal, a cell
+            # with vertices v1 < ... < vk has vk - v1 = 1 (its closing side
+            # is a chord or the edge from N to 1), a sum of k - 1 steps of
+            # 1 each, so k = 2.  So the rule reads the candidate alone.  As
+            # an arc crossing a chosen arc still crosses it later, every
+            # rejection is final: one pass over ``order`` adds all that
+            # passes repeated until none adds an arc would.
+            cut = ann.BridgeCut(cfg, pool[first])
+            for idx in order:
+                if idx != first and compatible(idx, chosen):
+                    d = cut.to_disk(pool[idx])
+                    if cut.disk.is_m_diagonal(d.a, d.b):
                         chosen.append(idx)
-                        taken.add(idx)
-                        progress = True
             chosen = sorted((pool[j] for j in chosen), key=ann.arc_sort_key)
             if not report.passes(len(chosen) == cfg.rank):
                 report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))

@@ -425,6 +425,22 @@ class TestCutAlong:
             same = crosses(le, lf) if pe == pf else False
             assert same == crosses(e, f)
 
+    @pytest.mark.parametrize("cfg", DISK_MATRIX, ids=repr)
+    def test_transport_inverts_the_piece_maps(self, cfg):
+        # against the inverse of map2 built as a dict, on every cut
+        diagonals = cfg.all_diagonals()
+        for d in diagonals:
+            cut = cut_along(cfg, d)
+            inv2 = {g: i + 1 for i, g in enumerate(cut.map2)}
+            for e in diagonals:
+                if e == d or crosses(e, d):
+                    continue
+                piece, local = cut.transport(e)
+                if piece == 2:
+                    assert local == Diagonal(inv2[e.a], inv2[e.b])
+                else:
+                    assert (cut.map1[local.a - 1], cut.map1[local.b - 1]) == (e.a, e.b)
+
     def test_crossing_diagonal_rejected(self):
         cut = cut_along(OCTAGON, Diagonal(1, 4))
         with pytest.raises(ValueError):

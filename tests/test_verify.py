@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -8,7 +9,8 @@ from angulator.annulus import (
     UnsupportedFlip,
     initial_bridges,
 )
-from angulator import annulus, disk, verify
+from angulator import annulus, disk, faces, verify
+from angulator.faces import split_regions
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
@@ -226,6 +228,92 @@ def refuse(*args, **kwargs):
     raise AssertionError("an oracle used the code it checks")
 
 
+def reference_extensions(cfg, trials, seed):
+    """The chosen arcs of every trial of ``check_annulus_maximal``, by the
+    original extension loop: passes over the pool until one adds nothing,
+    each candidate judged by a fresh split of the disk cut along the least
+    chosen bridge."""
+
+    def cells_ok(arcs):
+        bridges = [a for a in arcs if isinstance(a, annulus.Bridge)]
+        cut = annulus.BridgeCut(cfg, min(bridges, key=annulus.arc_sort_key))
+        chords = [frozenset((d.a, d.b))
+                  for d in (cut.to_disk(a) for a in arcs if a != cut.bridge)]
+        cycle = list(range(1, cut.disk.sides + 1))
+        return all((len(r) - 2) % cfg.m == 0 for r in split_regions(cycle, chords))
+
+    window = cfg.p + cfg.q + 3
+    rng = random.Random(seed)
+    pool = []
+    for o in range(1, cfg.outer_len + 1):
+        for i in range(1, cfg.inner_len + 1):
+            pool.extend(annulus.Bridge(o, i, w) for w in range(-window, window + 1))
+    for boundary, kind in ((cfg.outer_len, annulus.OuterChord),
+                           (cfg.inner_len, annulus.InnerChord)):
+        for s in range(1, boundary + 1):
+            for t in range(cfg.m + 1, boundary, cfg.m):
+                pool.append(kind(s, t))
+    pool = [a for a in pool if cfg.is_m_diagonal(a)]
+    out = []
+    for _ in range(trials):
+        chosen = [annulus.Bridge(rng.randrange(1, cfg.outer_len + 1),
+                                 rng.randrange(1, cfg.inner_len + 1),
+                                 rng.randrange(-1, 2))]
+        order = rng.sample(pool, len(pool))
+        progress = True
+        while progress:
+            progress = False
+            for a in order:
+                if (
+                    a not in chosen
+                    and not any(annulus.crosses(cfg, a, b) for b in chosen)
+                    and cells_ok(chosen + [a])
+                ):
+                    chosen.append(a)
+                    progress = True
+        out.append(set(chosen))
+    return out
+
+
+def checked_extensions(monkeypatch, cfg, trials, seed):
+    """The report of ``check_annulus_maximal`` and the arc set of every
+    angulation it built, one per trial."""
+    built = []
+
+    def record(config, arcs):
+        built.append(set(arcs))
+        return AnnulusAngulation(config, arcs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(annulus, "AnnulusAngulation", record)
+        report = check_annulus_maximal(cfg, trials=trials, seed=seed)
+    return report, built
+
+
+class TestAnnulusMaximal:
+    @pytest.mark.parametrize(
+        "cfg",
+        ANNULUS_MATRIX + [AnnulusConfig(3, 2, 2), AnnulusConfig(2, 5, 3),
+                          AnnulusConfig(1, 5, 4)],
+        ids=repr,
+    )
+    def test_chosen_sets_equal_the_reference(self, monkeypatch, cfg):
+        for seed in range(4):
+            report, built = checked_extensions(monkeypatch, cfg, 30, seed)
+            assert report.passed and report.cases == 60
+            assert built == reference_extensions(cfg, 30, seed)
+
+    @pytest.mark.parametrize("cfg", [c for c in ANNULUS_MATRIX if c.m == 2],
+                             ids=repr)
+    def test_cell_rule_is_needed(self, monkeypatch, cfg):
+        # the rule is the m-diagonal test of the cut disk; accepting every
+        # compatible arc leaves maximal sets that are no (m+2)-angulation,
+        # in every trial
+        monkeypatch.setattr(DiskConfig, "is_m_diagonal", lambda self, a, b: True)
+        report = check_annulus_maximal(cfg, trials=15, seed=5)
+        assert report.cases == 30 and len(report.failures) == 30
+
+
 class TestOracleIndependence:
     """Enumeration and maximal sets use neither flips nor the closed form;
     the flip graph does not use the enumeration."""
@@ -244,6 +332,19 @@ class TestOracleIndependence:
         monkeypatch.setattr(disk, "enumerate_angulations", refuse)
         monkeypatch.setattr(verify, "fuss_catalan", refuse)
         assert len(flip_graph(DiskConfig(2, 12)).nodes) == 273
+
+    def test_annulus_maximal_sets(self, monkeypatch):
+        # a candidate is judged by its image in one cut disk, not by face
+        # splits, flips, completions or the closed form
+        monkeypatch.setattr(faces, "split_regions", refuse)
+        monkeypatch.setattr(disk, "split_regions", refuse)
+        monkeypatch.setattr(AnnulusAngulation, "flip", refuse)
+        monkeypatch.setattr(AnnulusAngulation, "faces", refuse)
+        monkeypatch.setattr(annulus, "completions", refuse)
+        monkeypatch.setattr(verify, "fuss_catalan", refuse)
+        for cfg in (AnnulusConfig(2, 2, 2), AnnulusConfig(2, 4, 3)):
+            report = check_annulus_maximal(cfg, trials=15, seed=5)
+            assert report.passed and report.cases == 30
 
     def test_counts_run_each_oracle_once(self, monkeypatch):
         calls = {}
