@@ -31,6 +31,7 @@ from .disk import (
     DiskConfig,
     InvalidAngulation,
     NotInAngulation,
+    once_per_arc,
 )
 from .faces import Face, quiver_from_faces
 from .quiver import ColoredQuiver, json_int
@@ -228,12 +229,18 @@ class AnnulusAngulation(Angulation):
     def rebased(self) -> "AnnulusAngulation":
         """Equivalent angulation with minimum bridge winding zero: itself
         when it is one already, so that what it has cached is kept."""
+        cfg = self.config
         shift = -min(b.winding for b in self.bridges())
         if shift == 0:
             return self
-        return AnnulusAngulation(
-            self.config, [self.config.rebase(a, shift) for a in self.arcs]
-        )
+        out = AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
+        # the deck shift moves a cut bridge and every arc alike, so each
+        # view carries over with the same disk angulation
+        for ref, view in self._views.items():
+            diagonal = {cfg.rebase(a, shift): e for a, e in view.diagonal.items()}
+            cut = BridgeCut(cfg, cfg.rebase(ref, shift))
+            out._views[cut.bridge] = CutView(cut, diagonal, view.disk)
+        return out
 
     @cached_property
     def _views(self) -> dict[Bridge, "CutView"]:
@@ -250,33 +257,40 @@ class AnnulusAngulation(Angulation):
             self._views[ref] = view
         return view
 
-    def faces(self, ref: Bridge | None = None) -> list[Face]:
-        """The p+q cells, computed by cutting open along a bridge of the
-        angulation; the result does not depend on the bridge chosen."""
+    def _held_view(self, avoid: ArcClass | None = None) -> "CutView":
+        """A view this angulation holds already, inherited or built, whose
+        bridge is not ``avoid``; failing that, the view along the least
+        bridge other than ``avoid``."""
         self._require_valid()
-        bridges = self.bridges()
-        if ref is None:
-            ref = bridges[0]
-        elif ref not in bridges:
-            raise NotInAngulation(f"{ref} is not a bridge of the angulation")
-        return list(self._view(ref).faces)
-
-    def _flip_view(self, x: ArcClass) -> "CutView":
-        """The view flip(x) works in: cut along the least other bridge."""
-        self._require_arc(x)
-        self._require_valid()
-        others = [b for b in self.bridges() if b != x]
+        for ref, view in self._views.items():
+            if ref != avoid:
+                return view
+        others = [b for b in self.bridges() if b != avoid]
         if not others:
             raise InvalidAngulation("no bridge left to cut along")
         return self._view(others[0])
 
+    def faces(self, ref: Bridge | None = None) -> list[Face]:
+        """The p+q cells, computed by cutting open along a bridge of the
+        angulation (``ref``, or one it holds a cut along already); the
+        result does not depend on the bridge chosen."""
+        self._require_valid()
+        if ref is None:
+            return list(self._held_view().faces)
+        if ref not in self.bridges():
+            raise NotInAngulation(f"{ref} is not a bridge of the angulation")
+        return list(self._view(ref).faces)
+
+    @once_per_arc
     def flip(self, x: ArcClass) -> "AnnulusAngulation":
         """Replace x by the clockwise-next arc completing the rest.
 
-        The cut the flip works in stays a cut of the result, which takes
-        it over with the flipped disk angulation.
+        The flip works in a cut along a bridge other than x, one the
+        angulation holds if it can.  That cut stays a cut of the result,
+        which takes it over with the flipped disk angulation.
         """
-        view = self._flip_view(x)
+        self._require_arc(x)
+        view = self._held_view(x)
         d = view.diagonal[x]
         new_diag = view.disk.twist(d)
         new = view.cut.from_disk(new_diag)
@@ -289,7 +303,14 @@ class AnnulusAngulation(Angulation):
     def can_flip(self, x: ArcClass) -> bool:
         """False iff flip(x) raises UnsupportedFlip, decided without
         building the flipped angulation."""
-        view = self._flip_view(x)
+        self._require_arc(x)
+        # In a cut disk of S = m(p+q)+2 sides, the loop arcs are the
+        # diagonals (1, mp+1) and (mp+2, S), of lengths mp and mq.  A twist
+        # is an m-diagonal, of length 1 (mod m); for m >= 2 neither length
+        # is, so no flip leaves the model and no cut is needed to say so.
+        if self.config.m >= 2:
+            return True
+        view = self._held_view(x)
         return not view.cut.encloses(view.disk.twist(view.diagonal[x]))
 
     def completions(self, x: ArcClass) -> list[ArcClass]:
@@ -304,7 +325,10 @@ class AnnulusAngulation(Angulation):
         Two arcs bounding two distinct common faces contribute arrows from
         both faces, so multiplicities up to 2 occur.
         """
-        return quiver_from_faces(self.config.m, order or self.arcs, self.faces())
+        return self._read_quiver(order) if order else self._quiver
+
+    def _read_quiver(self, order: Sequence[ArcClass]) -> ColoredQuiver:
+        return quiver_from_faces(self.config.m, order, self._held_view().faces)
 
     def to_json_dict(self) -> dict:
         arcs = []

@@ -10,6 +10,7 @@ The ANGULATOR_GUARD environment variable overrides the enumeration guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -160,15 +161,31 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _open_timings(path: str):
     try:
-        reports = run_suite(
-            args.suite, seed=args.seed, steps=args.steps, guard=args.guard
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_BAD_JSON, str(exc))
-    except GuardExceeded as exc:
-        raise CliError(EXIT_GUARD, str(exc))
+        return open(path, "w")
+    except OSError as exc:
+        raise CliError(EXIT_BAD_JSON, f"cannot write timings: {exc}")
+
+
+def cmd_verify(args) -> int:
+    # opened first, so that an unwritable path fails before the suites run
+    timings = _open_timings(args.timings) if args.timings else contextlib.nullcontext()
+    with timings:
+        try:
+            reports = run_suite(
+                args.suite, seed=args.seed, steps=args.steps, guard=args.guard
+            )
+        except ValueError as exc:
+            raise CliError(EXIT_BAD_JSON, str(exc))
+        except GuardExceeded as exc:
+            raise CliError(EXIT_GUARD, str(exc))
+        if args.timings:
+            entries = [
+                {"suite": r.suite, "cases": r.cases, "elapsed": r.elapsed}
+                for r in reports
+            ]
+            json.dump(entries, timings, sort_keys=True, indent=2)
     payload = [r.to_json_dict(include_elapsed=False) for r in reports]
     print(_dump({"suite": args.suite, "reports": payload}))
     return 0 if all(r.passed for r in reports) else 1
@@ -235,6 +252,9 @@ def build_parser(guard: str) -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_count, default=500,
                    help="random-walk length (also scales trial counts)")
     p.add_argument("--guard", type=_count, default=guard, help=guard_help)
+    p.add_argument("--timings", metavar="FILE",
+                   help="also write each report's suite, case count and "
+                        "elapsed seconds to FILE as JSON")
 
     return parser
 

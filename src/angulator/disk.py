@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterable, Sequence
 
 from .faces import Face, quiver_from_faces, split_regions
@@ -122,9 +122,10 @@ class Angulation:
     arcs of one configuration, in the model's canonical order, checked at
     most once.
 
-    A model class defines ``_problems`` (its violations, as a tuple) and
-    ``violations``, ``flip``, ``completions``, ``faces`` and ``quiver_of``
-    in its own namespace, where the span tracer of ``perfbench`` finds them.
+    A model class defines ``_problems`` (its violations, as a tuple),
+    ``_read_quiver`` (its quiver in a given arc order) and ``violations``,
+    ``flip``, ``completions``, ``faces`` and ``quiver_of`` in its own
+    namespace, where the span tracer of ``perfbench`` finds them.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
@@ -167,6 +168,39 @@ class Angulation:
         """The equivalent angulation in normal form; a disk has no Dehn
         twist, so it is itself."""
         return self
+
+    @cached_property
+    def _flips(self) -> dict:
+        """flip(x) for every arc x flipped so far."""
+        return {}
+
+    @cached_property
+    def _quiver(self) -> ColoredQuiver:
+        """quiver_of() in canonical order, read once."""
+        return self._read_quiver(self.arcs)
+
+
+def once_per_arc(flip):
+    """Make a model's ``flip`` build one result object per (angulation,
+    arc), so that a walk step and the checks of that step share it."""
+
+    @wraps(flip)
+    def memo(self, x):
+        out = self._flips.get(x)
+        if out is None:
+            out = self._flips[x] = flip(self, x)
+        return out
+
+    return memo
+
+
+def _enter_sides(table: dict, face: Face):
+    """Record ``face`` under each diagonal side it has, keyed by the side
+    as the face runs it clockwise, with the side's index."""
+    verts = face.vertices
+    for i, side in enumerate(face.sides):
+        if type(side) is Diagonal:
+            table[verts[i], verts[(i + 1) % len(verts)]] = (face, i)
 
 
 class DiskAngulation(Angulation):
@@ -221,47 +255,67 @@ class DiskAngulation(Angulation):
         return list(self._faces)
 
     @cached_property
-    def _faces_at(self) -> dict[Diagonal, list[Face]]:
-        """The faces on either side of each diagonal."""
-        out = {d: [] for d in self.arcs}
+    def _sides(self) -> dict[tuple[int, int], tuple[Face, int]]:
+        """The face-local twist table.  A face runs the sides of a diagonal
+        (a, b) clockwise: the face inside [a, b] runs it as (b, a), the face
+        outside as (a, b).  The entry of a run side (u, v) is the face and
+        the side's index i there, so vertices[i + 2] is the vertex after v.
+        A flip hands its result this table with the sides of the two new
+        faces rewritten."""
+        table = {}
         for face in self._faces:
-            for side in face.sides:
-                if side in out:
-                    out[side].append(face)
-        return out
+            _enter_sides(table, face)
+        return table
+
+    def _around(self, d: Diagonal) -> tuple[tuple[Face, int], tuple[Face, int]]:
+        """The entries of the faces inside and outside d."""
+        self._require_arc(d)
+        self._require_valid()
+        return self._sides[d.b, d.a], self._sides[d.a, d.b]
 
     def merged_region(self, d: Diagonal) -> tuple[int, ...]:
         """Vertex cycle of the (2m+2)-gon around d, clockwise."""
-        self._require_arc(d)
-        self._require_valid()
-        adjacent = self._faces_at[d]
-        assert len(adjacent) == 2, "a diagonal borders exactly two faces"
-        verts = sorted(set(adjacent[0].vertices) | set(adjacent[1].vertices))
-        return tuple(verts)
+        (inner, _), (outer, _) = self._around(d)
+        return tuple(sorted(set(inner.vertices) | set(outer.vertices)))
 
     def twist(self, d: Diagonal) -> Diagonal:
-        """Clockwise-next chord splitting the merged region around d."""
-        return region_twist(self.merged_region(d), d, self.config.m)
+        """Clockwise-next chord splitting the merged region around d: it
+        joins the vertex after a inside [a, b] to the vertex after b
+        outside, as ``region_twist`` of the merged region does."""
+        (inner, i), (outer, j) = self._around(d)
+        return Diagonal(
+            inner.vertices[(i + 2) % len(inner.vertices)],
+            outer.vertices[(j + 2) % len(outer.vertices)],
+        )
 
+    @once_per_arc
     def flip(self, d: Diagonal) -> "DiskAngulation":
         """Replace d by its twist.
 
         Only the two faces beside d change: the twist splits their union
-        the other way.  The result takes the other faces over as they are.
+        the other way.  The result takes the other faces and the twist
+        table over, with the entries of the two new faces rewritten.
         """
-        region = list(self.merged_region(d))
-        new = region_twist(region, d, self.config.m)
-        out = DiskAngulation(
-            self.config, [e for e in self.arcs if e != d] + [new]
-        )
-        i, j = region.index(new.a), region.index(new.b)
+        (inner, i), (outer, j) = self._around(d)
+        # the merged region runs a, v1, ..., b inside and b, w1, ..., a
+        # outside; the twist (v1, w1) splits it into two (m+2)-gons
+        in_verts = inner.vertices[i + 1:] + inner.vertices[: i + 1]
+        in_sides = inner.sides[i + 1:] + inner.sides[:i]
+        out_verts = outer.vertices[j + 1:] + outer.vertices[: j + 1]
+        out_sides = outer.sides[j + 1:] + outer.sides[:j]
+        new = Diagonal(in_verts[1], out_verts[1])
         halves = (
-            self._face(region[i : j + 1]),
-            self._face(region[j:] + region[: i + 1]),
+            Face(in_verts[1:] + out_verts[1:2], in_sides[1:] + out_sides[:1] + (new,)),
+            Face(out_verts[1:] + in_verts[1:2], out_sides[1:] + in_sides[:1] + (new,)),
         )
-        a, b = self._faces_at[d]
-        kept = tuple(f for f in self._faces if f is not a and f is not b)
-        out.__dict__["_faces"] = kept + halves  # fills the cached property
+        out = DiskAngulation(self.config, [e for e in self.arcs if e != d] + [new])
+        table = dict(self._sides)
+        del table[d.a, d.b], table[d.b, d.a]
+        for face in halves:
+            _enter_sides(table, face)
+        kept = tuple(f for f in self._faces if f is not inner and f is not outer)
+        # fills the cached properties
+        out.__dict__.update(_faces=kept + halves, _sides=table)
         return out
 
     def completions(self, d: Diagonal) -> list[Diagonal]:
@@ -272,9 +326,13 @@ class DiskAngulation(Angulation):
 
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal (canonical order)."""
+        return self._read_quiver(order) if order else self._quiver
+
+    def _read_quiver(self, order: Sequence[Diagonal]) -> ColoredQuiver:
         self._require_valid()
+        # without diagonals the quiver is empty: split no polygon for it
         return quiver_from_faces(
-            self.config.m, order or self.arcs, self._faces
+            self.config.m, order, self._faces if self.arcs else ()
         )
 
     def to_json_dict(self) -> dict:

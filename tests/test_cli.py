@@ -249,6 +249,19 @@ class TestQuiverCmd:
         assert code == 0 and json.loads(out)["arrows"] == []
 
 
+    def test_rank_zero_disk_builds_no_polygon(self, capsys):
+        # the quiver of a disk without diagonals is empty, whatever its size
+        data = json.dumps(
+            {"type": "disk", "m": 2_000_000, "sides": 2_000_002, "diagonals": []}
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "quiver", data)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert json.loads(out) == {"m": 2_000_000, "vertices": 0, "arrows": []}
+        assert elapsed < 0.5
+
+
 class TestValidate:
     def test_valid(self, capsys):
         assert run(capsys, "validate", PENTAGON_FAN)[0] == 0
@@ -313,6 +326,31 @@ class TestVerifyCmd:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "39d5bc7a90c65ea34d85ab413b32457486206327470249c5c3d6f8f37190bd2a"
         )
+
+
+    def test_timings_file_leaves_stdout_pinned(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("ANGULATOR_GUARD", raising=False)
+        target = tmp_path / "timings.json"
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--steps", "20",
+                           "--seed", "1", "--timings", str(target))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "39d5bc7a90c65ea34d85ab413b32457486206327470249c5c3d6f8f37190bd2a"
+        )
+        timings = json.loads(target.read_text())
+        reports = json.loads(out)["reports"]
+        assert [(t["suite"], t["cases"]) for t in timings] == [
+            (r["suite"], r["cases"]) for r in reports
+        ]
+        assert all(set(t) == {"suite", "cases", "elapsed"} for t in timings)
+        assert all(isinstance(t["elapsed"], float) and t["elapsed"] >= 0
+                   for t in timings)
+
+    def test_unwritable_timings_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "timings.json"
+        code, out, err = run(capsys, "verify", "--suite", "cut", "--steps", "3",
+                             "--timings", str(target))
+        assert code == 2 and out == "" and "cannot write timings" in err
 
 
 class TestFileInput(object):

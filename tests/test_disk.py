@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from angulator import disk
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
@@ -19,11 +20,16 @@ from angulator.disk import (
     flip_graph,
     initial_fan,
     maximal_set_sizes,
+    region_twist,
 )
-from angulator.verify import DISK_MATRIX
+from angulator.quiver import ColoredQuiver
+from angulator.verify import COMPAT_ENUM_CAP, DISK_MATRIX, fuss_catalan, random_walk
 
 PENTAGON = DiskConfig(1, 5)
 OCTAGON = DiskConfig(2, 8)
+# the disks whose every angulation the compat suite checks
+SMALL_DISKS = [c for c in DISK_MATRIX if fuss_catalan(c.m, c.rank + 1) <= COMPAT_ENUM_CAP]
+WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
 
 
 def reference_enumerate(cfg):
@@ -270,6 +276,69 @@ class TestTwistFlip:
             pentagon_fan().flip(Diagonal(2, 4))
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("built faces it did not need")
+
+
+def table_cells(ang):
+    """The twist table with each entry's face read from the entry's side:
+    its vertices and sides rotated to start there."""
+    return {
+        key: (face.vertices[i:] + face.vertices[:i], face.sides[i:] + face.sides[:i])
+        for key, (face, i) in ang._sides.items()
+    }
+
+
+def cells(faces):
+    """Faces as a sorted list of cells, each read from its least rotation."""
+    def rotations(f):
+        for i in range(len(f)):
+            yield (f.vertices[i:] + f.vertices[:i], f.sides[i:] + f.sides[:i])
+
+    return sorted(repr(min(rotations(f))) for f in faces)
+
+
+class TestTwistTable:
+    """The face-local twist table gives the twist of the merged region,
+    and the table a flip hands on equals the one built afresh."""
+
+    @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
+    def test_twist_is_the_region_twist_on_every_angulation(self, cfg):
+        _, found = enumerate_angulations(cfg, collect=True)
+        for ang in found:
+            for d in ang.diagonals:
+                assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
+    def test_twist_is_the_region_twist_along_walks(self, cfg):
+        for ang, _ in random_walk(cfg, 40, 7):
+            for d in ang.diagonals:
+                assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + SMALL_DISKS[-2:], ids=repr)
+    def test_carried_table_equals_a_fresh_one(self, cfg):
+        for step, (ang, _) in enumerate(random_walk(cfg, 40, 7)):
+            # every walked angulation but the first is a flip result
+            assert ("_sides" in vars(ang)) == (step > 0)
+            fresh = DiskAngulation(cfg, ang.diagonals)
+            assert table_cells(ang) == table_cells(fresh)
+            assert cells(ang.faces()) == cells(fresh.faces())
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
+    def test_one_flip_per_arc(self, cfg):
+        for ang, _ in random_walk(cfg, 20, 7):
+            fresh = DiskAngulation(cfg, ang.diagonals)
+            for d in ang.diagonals:
+                assert ang.flip(d) is ang.flip(d)
+                assert ang.flip(d) == fresh.flip(d)
+                assert cells(ang.flip(d).faces()) == cells(fresh.flip(d).faces())
+
+    def test_quiver_read_once(self):
+        ang = octagon_fan()
+        assert ang.quiver_of() is ang.quiver_of()
+        assert ang.quiver_of(list(ang.diagonals)) == ang.quiver_of()
+
+
 class TestCompletions:
     def test_pentagon(self):
         out = completions(PENTAGON, [Diagonal(1, 4)], Diagonal(1, 3))
@@ -329,6 +398,11 @@ class TestQuiverOf:
     def test_octagon_fan_colors(self):
         q = octagon_fan().quiver_of()
         assert dict(q.arrows()) == {(0, 1, 2): 1, (1, 0, 0): 1}
+
+    def test_rank_zero_builds_no_face(self, monkeypatch):
+        monkeypatch.setattr(disk, "split_regions", refuse)
+        ang = DiskAngulation(DiskConfig(3, 5), [])
+        assert ang.quiver_of() == ColoredQuiver(3, 0)
 
     def test_single_diagonal_no_arrows(self):
         q = initial_fan(DiskConfig(2, 6)).quiver_of()

@@ -150,6 +150,101 @@ class TestWalkCaches:
             assert [a for a in ang.arcs if ang.can_flip(a)] == trial
 
 
+def least_bridge_flip(ang, x):
+    """What flip(x) gives, worked out afresh in the cut along the least
+    bridge other than x: the new arc, or the refusal's message."""
+    cfg = ang.config
+    ref = min((b for b in ang.bridges() if b != x), key=annulus.arc_sort_key)
+    cut = annulus.BridgeCut(cfg, ref)
+    local = DiskAngulation(cut.disk, [cut.to_disk(a) for a in ang.arcs if a != ref])
+    try:
+        return cut.from_disk(local.twist(cut.to_disk(x)))
+    except UnsupportedFlip as exc:
+        return str(exc)
+
+
+class TestIncrementalWalks:
+    """A walk step reuses what the angulation holds: one flip result per
+    (angulation, arc), the canonical quiver, and on the annulus the cut it
+    inherited.  None of that may change an answer."""
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_inherited_view_flips_like_the_least_bridge_view(self, cfg):
+        other_view = 0
+        for ang, arc in random_walk(cfg, 25, 1):
+            # the walked object is rebased; the flip result is not
+            for obj in (ang, ang.flip(arc)):
+                for x in obj.arcs:
+                    outcome = flip_outcome(obj, x)
+                    if isinstance(outcome, str):
+                        assert outcome == least_bridge_flip(obj, x)
+                        continue
+                    (new,) = set(outcome.arcs) - set(obj.arcs)
+                    assert new == least_bridge_flip(obj, x)
+                    (used,) = outcome._views
+                    least = min((b for b in obj.bridges() if b != x),
+                                key=annulus.arc_sort_key)
+                    other_view += used != least
+        # some flip used a view that is not the least-bridge one; with two
+        # arcs the one bridge left is the least, and the rank-3 walk here
+        # keeps a least bridge in its view
+        assert other_view or cfg.rank <= 3
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_one_flip_per_arc(self, cfg):
+        for ang, _ in random_walk(cfg, 12, 4):
+            fresh = AnnulusAngulation(cfg, ang.arcs)
+            for x in ang.arcs:
+                if ang.can_flip(x):
+                    assert ang.flip(x) is ang.flip(x)
+                    assert ang.flip(x) == fresh.flip(x)
+            assert ang.quiver_of() is ang.quiver_of()
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
+    def test_checks_reuse_the_walk_flips(self, monkeypatch, cfg):
+        cls = DiskAngulation if isinstance(cfg, DiskConfig) else AnnulusAngulation
+        raw, computed = cls.flip.__wrapped__, []
+
+        def record(ang, x):
+            computed.append((ang, x))
+            return raw(ang, x)
+
+        monkeypatch.setattr(cls, "flip", disk.once_per_arc(record))
+        cases = list(random_walk(cfg, 12, 4))
+        assert len(computed) == 12
+        assert check_flip_mutation(cases).passed
+        assert len(computed) == 12
+        assert check_flip_cycle(cases).passed
+        # the cycles flip anew, but never a case's own position, and never
+        # one position twice
+        cycle = computed[12:]
+        assert cycle
+        assert not any(obj is ang and x == arc for obj, x in cycle for ang, arc in cases)
+        assert len({(id(obj), x) for obj, x in cycle}) == len(cycle)
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_bridge_cut_check_reuses_the_walk_flip(self, monkeypatch, cfg):
+        calls = {}
+        monkeypatch.setattr(AnnulusAngulation, "flip", disk.once_per_arc(
+            counted(calls, "flip", AnnulusAngulation.flip.__wrapped__)))
+        cases = list(random_walk(cfg, 12, 4))
+        # the check flips every flippable arc but the bridge it cuts along
+        rest = [[a for a in ang.arcs if a != ang.bridges()[0] and ang.can_flip(a)]
+                for ang, _ in cases]
+        fresh = sum(len(r) - (arc in r) for r, (_, arc) in zip(rest, cases))
+        assert check_cut_transport(cfg, cases).passed
+        assert calls == {"flip": 12 + fresh}
+
+    @pytest.mark.parametrize("cfg", [c for c in ANNULUS_MATRIX if c.m >= 2], ids=repr)
+    def test_can_flip_every_arc_without_a_cut(self, monkeypatch, cfg):
+        for ang, _ in random_walk(cfg, 25, 2):
+            with monkeypatch.context() as patch:
+                patch.setattr(annulus, "BridgeCut", refuse)
+                assert all(ang.can_flip(a) for a in ang.arcs)
+            for a in ang.arcs:
+                ang.flip(a)  # must not raise
+
+
 def counted(calls, name, fn):
     def wrapper(*args, **kwargs):
         calls[name] = calls.get(name, 0) + 1
