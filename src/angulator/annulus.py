@@ -29,6 +29,7 @@ from .disk import (
     Diagonal,
     DiskAngulation,
     DiskConfig,
+    Edge,
     InvalidAngulation,
     NotInAngulation,
     once_per_arc,
@@ -221,6 +222,48 @@ class AnnulusAngulation(Angulation):
             out.append(f"{len(self.arcs)} arcs, expected {self.config.rank}")
         if not self.bridges():
             out.append("no bridge present")
+        return tuple(out) or self._cell_problems()
+
+    def _cell_problems(self) -> tuple[str, ...]:
+        """The arcs of a noncrossing set of p+q arcs with a bridge that are
+        not m-diagonals of the cut along its least bridge.  The cut disk
+        has N = m(p+q)+2 sides, N = 2 (mod m), and its p+q cells all have
+        size 2 (mod m) iff every chord is an m-diagonal (the argument is in
+        ``verify.check_annulus_maximal``); as the sizes add up to (m+2)(p+q),
+        that makes every cell an (m+2)-gon.  For m = 1 the p+q-1 diagonals
+        triangulate the cut disk whatever they are, so no cut is made.  A
+        set without such arcs keeps the cut as its first view."""
+        if self.config.m == 1:
+            return ()
+        ref = self.bridges()[0]
+        cut = BridgeCut(self.config, ref)
+        diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
+        bad = tuple(
+            f"{a} is not an m-diagonal of the cut along {ref}"
+            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d.a, d.b)
+        )
+        if not bad:
+            self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
+        return bad
+
+    def _flip_problems(self, new: ArcClass, cut: "BridgeCut",
+                       new_diagonal: Diagonal) -> tuple[str, ...]:
+        """``_problems`` of a flip result whose parent was valid, worked
+        out in O(r): the new arc must be an m-diagonal, cross no other arc
+        and duplicate none, and its diagonal must be an m-diagonal of the
+        cut the flip worked in, whose bridge stays.  Messages as a fresh
+        object words them, except that the cut named is that one."""
+        cfg = self.config
+        out = [] if cfg.is_m_diagonal(new) else [f"{new} is not an m-diagonal"]
+        for a in self.arcs:
+            # the r - 1 others; new itself is skipped
+            if a is not new and crosses(cfg, a, new):
+                x, y = sorted((a, new), key=arc_sort_key)
+                out.append(f"{x} crosses {y}")
+        if len(self.arcs) != cfg.rank:
+            out.append(f"{len(self.arcs)} arcs, expected {cfg.rank}")
+        if not out and not cut.disk.is_m_diagonal(new_diagonal.a, new_diagonal.b):
+            out.append(f"{new} is not an m-diagonal of the cut along {cut.bridge}")
         return tuple(out)
 
     def violations(self) -> list[str]:
@@ -235,11 +278,14 @@ class AnnulusAngulation(Angulation):
             return self
         out = AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
         # the deck shift moves a cut bridge and every arc alike, so each
-        # view carries over with the same disk angulation
+        # view carries over with the same disk angulation, and validity
+        # with them; the messages of an invalid one name its arcs
         for ref, view in self._views.items():
             diagonal = {cfg.rebase(a, shift): e for a, e in view.diagonal.items()}
             cut = BridgeCut(cfg, cfg.rebase(ref, shift))
             out._views[cut.bridge] = CutView(cut, diagonal, view.disk)
+        if not self._problems:
+            out.__dict__["_problems"] = ()
         return out
 
     @cached_property
@@ -253,8 +299,7 @@ class AnnulusAngulation(Angulation):
             self._require_valid()
             cut = BridgeCut(self.config, ref)
             diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
-            view = CutView(cut, diagonal, DiskAngulation(cut.disk, diagonal.values()))
-            self._views[ref] = view
+            view = self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
         return view
 
     def _held_view(self, avoid: ArcClass | None = None) -> "CutView":
@@ -281,23 +326,43 @@ class AnnulusAngulation(Angulation):
             raise NotInAngulation(f"{ref} is not a bridge of the angulation")
         return list(self._view(ref).faces)
 
-    @once_per_arc
-    def flip(self, x: ArcClass) -> "AnnulusAngulation":
-        """Replace x by the clockwise-next arc completing the rest.
-
-        The flip works in a cut along a bridge other than x, one the
-        angulation holds if it can.  That cut stays a cut of the result,
-        which takes it over with the flipped disk angulation.
-        """
+    def _twisted(self, x: ArcClass) -> tuple["CutView", Diagonal, Diagonal]:
+        """The view a flip at x works in, along a bridge other than x and
+        one the angulation holds if it can; x's diagonal there; and the
+        twist of that diagonal."""
         self._require_arc(x)
         view = self._held_view(x)
         d = view.diagonal[x]
-        new_diag = view.disk.twist(d)
-        new = view.cut.from_disk(new_diag)
+        return view, d, view.disk.twist(d)
+
+    def twist(self, x: ArcClass) -> ArcClass:
+        """The arc that flip(x) puts in x's place, read from a held cut
+        view without building the flipped angulation; raises
+        UnsupportedFlip where the flip does."""
+        view, _, new_diagonal = self._twisted(x)
+        return view.cut.from_disk(new_diagonal)
+
+    @once_per_arc
+    def flip(self, x: ArcClass) -> "AnnulusAngulation":
+        """Replace x by its twist, the clockwise-next arc completing the
+        rest.
+
+        The cut the twist is read in stays a cut of the result, which
+        takes it over with the flipped disk angulation, and the result is
+        checked against this angulation in O(r).
+        """
+        view, d, new_diagonal = self._twisted(x)
+        new = view.cut.from_disk(new_diagonal)
         out = AnnulusAngulation(self.config, [a for a in self.arcs if a != x] + [new])
         diagonal = {a: e for a, e in view.diagonal.items() if a != x}
-        diagonal[new] = new_diag
-        out._views[view.cut.bridge] = CutView(view.cut, diagonal, view.disk.flip(d))
+        diagonal[new] = new_diagonal
+        flipped = view.disk._flipped(d, new_diagonal)
+        out._views[view.cut.bridge] = CutView(view.cut, diagonal, flipped)
+        problems = out._flip_problems(new, view.cut, new_diagonal)
+        out.__dict__["_problems"] = problems
+        if not problems:
+            # the view's disk takes its validity from the annulus
+            flipped.__dict__["_problems"] = ()
         return out
 
     def can_flip(self, x: ArcClass) -> bool:
@@ -310,8 +375,8 @@ class AnnulusAngulation(Angulation):
         # is, so no flip leaves the model and no cut is needed to say so.
         if self.config.m >= 2:
             return True
-        view = self._held_view(x)
-        return not view.cut.encloses(view.disk.twist(view.diagonal[x]))
+        view, _, new_diagonal = self._twisted(x)
+        return not view.cut.encloses(new_diagonal)
 
     def completions(self, x: ArcClass) -> list[ArcClass]:
         """The m+1 arcs completing the others, found afresh by the module
@@ -328,7 +393,17 @@ class AnnulusAngulation(Angulation):
         return self._read_quiver(order) if order else self._quiver
 
     def _read_quiver(self, order: Sequence[ArcClass]) -> ColoredQuiver:
-        return quiver_from_faces(self.config.m, order, self._held_view().faces)
+        # read from the held view's disk faces: each diagonal stands for
+        # its arc, both copies of the cut bridge for the bridge
+        view = self._held_view()
+        cut = view.cut
+        vertex = {}
+        for i, a in enumerate(order):
+            if a == cut.bridge:
+                vertex.update(dict.fromkeys(cut.bridge_sides, i))
+            else:
+                vertex[view.diagonal[a]] = i
+        return quiver_from_faces(self.config.m, len(order), vertex, view.disk.faces())
 
     def to_json_dict(self) -> dict:
         arcs = []
@@ -423,89 +498,99 @@ class BridgeCut:
     The cut disk has m(p+q)+2 vertices labeled clockwise: 1..mp+1 run along
     the outer boundary from the bridge's outer endpoint back to its second
     copy; mp+2..m(p+q)+2 run back along the inner boundary.  Arcs that do
-    not cross the bridge transport to disk diagonals and back.
+    not cross the bridge transport to disk diagonals and back.  The sizes
+    are kept as plain ints, read by every transport.
     """
 
     def __init__(self, cfg: AnnulusConfig, bridge: Bridge):
         self.cfg = cfg
         self.bridge = bridge
-        self.disk = DiskConfig(cfg.m, cfg.m * (cfg.p + cfg.q) + 2)
-        self._top0 = cfg.top(bridge.outer)
-        self._bot0 = cfg.bottom(bridge.inner, bridge.winding)
+        self.outer_len = outer_len = cfg.m * cfg.p
+        self.inner_len = inner_len = cfg.m * cfg.q
+        self.sides = outer_len + inner_len + 2
+        self.disk = DiskConfig(cfg.m, self.sides)
+        # the deck period and the bridge's lifts in the scaled strip
+        # coordinates of AnnulusConfig.top and AnnulusConfig.bottom
+        self._per = outer_len * inner_len
+        self._top0 = bridge.outer * inner_len
+        self._bot0 = (bridge.inner + bridge.winding * inner_len) * outer_len
+
+    @property
+    def bridge_sides(self) -> tuple[Edge, Edge]:
+        """The two disk edges that are copies of the cut bridge."""
+        top_max = self.outer_len + 1
+        return Edge(top_max, top_max + 1), Edge(self.sides, 1)
 
     # -- vertex maps -------------------------------------------------------
 
     def _top_vertex(self, pos: int) -> int:
-        offset, rem = divmod(pos - self._top0, self.cfg.inner_len)
-        assert rem == 0 and 0 <= offset <= self.cfg.outer_len
+        offset, rem = divmod(pos - self._top0, self.inner_len)
+        assert rem == 0 and 0 <= offset <= self.outer_len
         return 1 + offset
 
     def _bottom_vertex(self, pos: int) -> int:
-        offset, rem = divmod(pos - self._bot0, self.cfg.outer_len)
-        assert rem == 0 and 0 <= offset <= self.cfg.inner_len
-        return self.disk.sides - offset
+        offset, rem = divmod(pos - self._bot0, self.outer_len)
+        assert rem == 0 and 0 <= offset <= self.inner_len
+        return self.sides - offset
 
     def outer_label(self, disk_vertex: int) -> int:
         """Outer boundary label of a top disk vertex (1..mp+1)."""
-        return (self.bridge.outer + disk_vertex - 2) % self.cfg.outer_len + 1
+        return (self.bridge.outer + disk_vertex - 2) % self.outer_len + 1
 
     def inner_label(self, disk_vertex: int) -> int:
         """Inner boundary label of a bottom disk vertex (mp+2..S')."""
-        offset = self.disk.sides - disk_vertex
-        return (self.bridge.inner + offset - 1) % self.cfg.inner_len + 1
+        offset = self.sides - disk_vertex
+        return (self.bridge.inner + offset - 1) % self.inner_len + 1
 
     # -- arc transport -----------------------------------------------------
 
     def to_disk(self, arc: ArcClass) -> Diagonal:
         """Disk diagonal of an arc that does not cross the cut bridge."""
-        cfg = self.cfg
         if arc == self.bridge:
             raise ValueError("the cut bridge itself does not transport")
-        if crosses(cfg, arc, self.bridge):
+        if crosses(self.cfg, arc, self.bridge):
             raise ValueError(f"{arc} crosses the cut bridge")
-        per = cfg.period
+        outer_len, inner_len = self.outer_len, self.inner_len
         if isinstance(arc, Bridge):
-            t, b = cfg.top(arc.outer), cfg.bottom(arc.inner, arc.winding)
-            placements = []
-            for n in range(
-                -((t - self._top0) // per) - 1, -((t - self._top0) // per) + 2
-            ):
-                tt, bb = t + n * per, b + n * per
-                if (
-                    self._top0 <= tt <= self._top0 + per
-                    and self._bot0 <= bb <= self._bot0 + per
-                ):
-                    placements.append((tt, bb))
+            top0, bot0, per = self._top0, self._bot0, self._per
+            t = arc.outer * inner_len
+            b = (arc.inner + arc.winding * inner_len) * outer_len
+            # the lifts whose top lies on the cut strip's top side
+            # [top0, top0 + per]: two when the arc shares the bridge's
+            # outer endpoint
+            tt = top0 + (t - top0) % per
+            bb = b + tt - t
+            lifts = [(tt, bb), (tt + per, bb + per)] if tt == top0 else [(tt, bb)]
             placements = [
-                (tt, bb)
-                for tt, bb in placements
-                if not (tt == self._top0 and bb == self._bot0)
-                and not (tt == self._top0 + per and bb == self._bot0 + per)
+                (x, y) for x, y in lifts
+                if bot0 <= y <= bot0 + per
+                # the bridge's own two lifts bound the strip
+                and (x, y) not in ((top0, bot0), (top0 + per, bot0 + per))
             ]
             assert len(placements) == 1, f"ambiguous placement of {arc}"
             tt, bb = placements[0]
             return Diagonal(self._top_vertex(tt), self._bottom_vertex(bb))
         if isinstance(arc, OuterChord):
-            offset = (arc.start - self.bridge.outer) % cfg.outer_len
-            assert offset + arc.span <= cfg.outer_len
+            offset = (arc.start - self.bridge.outer) % outer_len
+            assert offset + arc.span <= outer_len
             return Diagonal(1 + offset, 1 + offset + arc.span)
-        offset = (arc.start - self.bridge.inner) % cfg.inner_len
-        assert offset + arc.span <= cfg.inner_len
-        return Diagonal(
-            self.disk.sides - offset - arc.span, self.disk.sides - offset
-        )
+        offset = (arc.start - self.bridge.inner) % inner_len
+        assert offset + arc.span <= inner_len
+        return Diagonal(self.sides - offset - arc.span, self.sides - offset)
 
     def encloses(self, diag: Diagonal) -> bool:
         """True iff diag joins the two copies of a cut endpoint: the loop
         arc it stands for encloses a boundary, outside the arc model."""
-        top_max = self.cfg.outer_len + 1
-        return diag in (Diagonal(1, top_max), Diagonal(top_max + 1, self.disk.sides))
+        top_max = self.outer_len + 1
+        if diag.a == 1:
+            return diag.b == top_max
+        return diag.a == top_max + 1 and diag.b == self.sides
 
     def from_disk(self, diag: Diagonal) -> ArcClass:
         """Annulus arc of a disk diagonal; raises UnsupportedFlip for the
         two diagonals joining the copies of a cut endpoint (loop arcs)."""
-        cfg = self.cfg
-        top_max = cfg.outer_len + 1
+        outer_len, inner_len = self.outer_len, self.inner_len
+        top_max = outer_len + 1
         if diag.b <= top_max:
             if self.encloses(diag):
                 raise UnsupportedFlip(
@@ -518,30 +603,28 @@ class BridgeCut:
                     "arc would enclose the outer boundary (outside the model)"
                 )
             return InnerChord(self.inner_label(diag.b), diag.b - diag.a)
-        # bridge: recover winding from lift positions
-        tpos = self._top0 + (diag.a - 1) * cfg.inner_len
-        bpos = self._bot0 + (self.disk.sides - diag.b) * cfg.outer_len
-        outer = (tpos // cfg.inner_len - 1) % cfg.outer_len + 1
-        k_top = (tpos // cfg.inner_len - outer) // cfg.outer_len
-        inner = (bpos // cfg.outer_len - 1) % cfg.inner_len + 1
-        k_bot_w = (bpos // cfg.outer_len - inner) // cfg.inner_len
-        return Bridge(outer, inner, k_bot_w - k_top)
+        # bridge: recover the winding from the lifts of its endpoints,
+        # counted in vertex steps from the cut bridge's first lift
+        top = self.bridge.outer + diag.a - 1
+        bottom = self.bridge.inner + self.bridge.winding * inner_len + self.sides - diag.b
+        outer = (top - 1) % outer_len + 1
+        inner = (bottom - 1) % inner_len + 1
+        return Bridge(outer, inner,
+                      (bottom - inner) // inner_len - (top - outer) // outer_len)
 
     # -- face pullback -----------------------------------------------------
 
     def side_back(self, side) -> object:
         if isinstance(side, Diagonal):
             return self.from_disk(side)
-        u, v = side.u, side.v
-        top_max = self.cfg.outer_len + 1
-        if {u, v} in ({top_max, top_max + 1}, {self.disk.sides, 1}):
+        if side in self.bridge_sides:
             return self.bridge
-        if v <= top_max:
-            return BoundaryEdge("outer", self.outer_label(u))
-        return BoundaryEdge("inner", self.inner_label(v))
+        if side.v <= self.outer_len + 1:
+            return BoundaryEdge("outer", self.outer_label(side.u))
+        return BoundaryEdge("inner", self.inner_label(side.v))
 
     def vertex_back(self, disk_vertex: int) -> tuple[str, int]:
-        if disk_vertex <= self.cfg.outer_len + 1:
+        if disk_vertex <= self.outer_len + 1:
             return ("O", self.outer_label(disk_vertex))
         return ("I", self.inner_label(disk_vertex))
 
@@ -550,6 +633,15 @@ class BridgeCut:
             tuple(self.vertex_back(v) for v in face.vertices),
             tuple(self.side_back(s) for s in face.sides),
         )
+
+
+def _valid_disk(cut: BridgeCut, diagonal: dict) -> DiskAngulation:
+    """The disk angulation of a valid annulus cut open along a bridge.  It
+    takes its validity from the annulus: noncrossing arcs have noncrossing
+    diagonals, and (m+2)-gon cells stay (m+2)-gons in every cut."""
+    out = DiskAngulation(cut.disk, diagonal.values())
+    out.__dict__["_problems"] = ()
+    return out
 
 
 class CutView:
@@ -565,6 +657,8 @@ class CutView:
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
+        """The disk faces mapped back to the annulus, for the public
+        ``faces()``; the quiver reads the disk faces themselves."""
         return tuple(self.cut.face_back(f) for f in self.disk.faces())
 
 

@@ -114,6 +114,8 @@ def cmd_mutate(args) -> int:
 def cmd_flip(args) -> int:
     angulation = _load_angulation(_read_input(args.input))
     arcs = angulation.arcs
+    if not arcs:
+        raise CliError(EXIT_RANGE, f"arc index {args.arc}: the angulation has no arcs")
     if not (0 <= args.arc < len(arcs)):
         raise CliError(EXIT_RANGE, f"arc index {args.arc} outside 0..{len(arcs) - 1}")
     try:

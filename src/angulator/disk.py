@@ -124,8 +124,10 @@ class Angulation:
 
     A model class defines ``_problems`` (its violations, as a tuple),
     ``_read_quiver`` (its quiver in a given arc order) and ``violations``,
-    ``flip``, ``completions``, ``faces`` and ``quiver_of`` in its own
-    namespace, where the span tracer of ``perfbench`` finds them.
+    ``twist``, ``flip``, ``completions``, ``faces`` and ``quiver_of`` in
+    its own namespace, where the span tracer of ``perfbench`` finds them.
+    A flip result's ``_problems`` is worked out when it is built, from
+    its valid parent and the new arc alone, in O(r).
     """
 
     __slots__ = ("config", "arcs", "__dict__")
@@ -229,6 +231,23 @@ class DiskAngulation(Angulation):
             out.append(f"{len(self.arcs)} diagonals, expected {self.config.rank}")
         return tuple(out)
 
+    def _flip_problems(self, new: Diagonal) -> tuple[str, ...]:
+        """``_problems`` of a flip result whose parent was valid: only the
+        new diagonal can be at fault, by not being an m-diagonal, by
+        crossing another diagonal, or by duplicating one, which leaves one
+        diagonal too few.  The messages and their order are those of a
+        fresh object."""
+        cfg = self.config
+        out = [] if cfg.is_m_diagonal(new.a, new.b) else [f"{new} is not an m-diagonal"]
+        # the r - 1 others (new itself is skipped), each pair in sorted order
+        out += [
+            f"{min(d, new)} crosses {max(d, new)}"
+            for d in self.arcs if d is not new and crosses(d, new)
+        ]
+        if len(self.arcs) != cfg.rank:
+            out.append(f"{len(self.arcs)} diagonals, expected {cfg.rank}")
+        return tuple(out)
+
     def violations(self) -> list[str]:
         return list(self._problems)
 
@@ -242,7 +261,7 @@ class DiskAngulation(Angulation):
 
     @cached_property
     def _faces(self) -> tuple[Face, ...]:
-        # the public callers check validity, because flip() sets this
+        # the public callers check validity, because _flipped() sets this
         # directly for its result
         cycle = list(range(1, self.config.sides + 1))
         chords = [frozenset((d.a, d.b)) for d in self.arcs]
@@ -290,20 +309,27 @@ class DiskAngulation(Angulation):
 
     @once_per_arc
     def flip(self, d: Diagonal) -> "DiskAngulation":
-        """Replace d by its twist.
+        """Replace d by its twist; the result is checked against this
+        angulation in O(r)."""
+        new = self.twist(d)
+        out = self._flipped(d, new)
+        out.__dict__["_problems"] = out._flip_problems(new)
+        return out
+
+    def _flipped(self, d: Diagonal, new: Diagonal) -> "DiskAngulation":
+        """d replaced by its twist ``new``, with no validity set.
 
         Only the two faces beside d change: the twist splits their union
         the other way.  The result takes the other faces and the twist
         table over, with the entries of the two new faces rewritten.
         """
-        (inner, i), (outer, j) = self._around(d)
+        (inner, i), (outer, j) = self._sides[d.b, d.a], self._sides[d.a, d.b]
         # the merged region runs a, v1, ..., b inside and b, w1, ..., a
         # outside; the twist (v1, w1) splits it into two (m+2)-gons
         in_verts = inner.vertices[i + 1:] + inner.vertices[: i + 1]
         in_sides = inner.sides[i + 1:] + inner.sides[:i]
         out_verts = outer.vertices[j + 1:] + outer.vertices[: j + 1]
         out_sides = outer.sides[j + 1:] + outer.sides[:j]
-        new = Diagonal(in_verts[1], out_verts[1])
         halves = (
             Face(in_verts[1:] + out_verts[1:2], in_sides[1:] + out_sides[:1] + (new,)),
             Face(out_verts[1:] + in_verts[1:2], out_sides[1:] + in_sides[:1] + (new,)),
@@ -332,7 +358,8 @@ class DiskAngulation(Angulation):
         self._require_valid()
         # without diagonals the quiver is empty: split no polygon for it
         return quiver_from_faces(
-            self.config.m, order, self._faces if self.arcs else ()
+            self.config.m, len(order), {d: i for i, d in enumerate(order)},
+            self._faces if self.arcs else (),
         )
 
     def to_json_dict(self) -> dict:

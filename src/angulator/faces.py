@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .quiver import ColoredQuiver
 
@@ -50,21 +50,25 @@ def split_regions(cycle: Sequence[Hashable], chords: Iterable[frozenset]) -> lis
     return split_regions(side1, in1) + split_regions(side2, in2)
 
 
-def quiver_from_faces(m: int, arc_order: Sequence, faces: Iterable[Face]) -> ColoredQuiver:
-    """Colored quiver of an angulation read from its face list.
+def quiver_from_faces(
+    m: int, n: int, vertex: Mapping[Hashable, int], faces: Iterable[Face]
+) -> ColoredQuiver:
+    """Colored quiver on vertices 0..n-1 read from a face list.
 
-    Vertices are the arcs in ``arc_order``.  For arcs d, e on one face the
-    arrow d -> e gets the color counting the face's sides strictly between
-    d and e clockwise from d; under this orientation flips of angulations
+    ``vertex`` maps a face side to the vertex of the arc it stands for;
+    a side it does not hold (a boundary edge) stands for no arc.  Two
+    sides may stand for one arc, as the two copies of the bridge that an
+    annulus is cut open along do.  For arcs d, e on one face the arrow
+    d -> e gets the color counting the face's sides strictly between d and
+    e clockwise from d; under this orientation flips of angulations
     commute with colored quiver mutation.
     """
-    index = {arc: i for i, arc in enumerate(arc_order)}
     arrows = Counter()
     for face in faces:
         spots = [
-            (pos, index[side])
+            (pos, vertex[side])
             for pos, side in enumerate(face.sides)
-            if side in index
+            if side in vertex
         ]
         size = len(face.sides)
         for pi, vi in spots:
@@ -72,4 +76,4 @@ def quiver_from_faces(m: int, arc_order: Sequence, faces: Iterable[Face]) -> Col
                 if vi == vj:
                     continue
                 arrows[(vi, vj, (pj - pi - 1) % size)] += 1
-    return ColoredQuiver(m, len(arc_order), arrows)
+    return ColoredQuiver(m, n, arrows)

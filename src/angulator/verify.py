@@ -339,12 +339,12 @@ def _check_annulus_bridge_cut(report, cfg, angulation, y):
         if not report.passes(back == a):
             report.record(f"round trip of {a} under cut {y}", a, back)
     # flips away from the cut commute with transport (also exercises the
-    # independence of the flip from the bridge chosen internally)
+    # independence of the twist from the bridge chosen internally)
     disk_ang = disk.DiskAngulation(cut.disk, list(placed.values()))
     for a in rest:
         if not angulation.can_flip(a):
             continue
-        new_arc = _new_arc(angulation, angulation.flip(a))
+        new_arc = angulation.twist(a)
         flipped_back = cut.from_disk(disk_ang.twist(placed[a]))
         if not report.passes(flipped_back == new_arc):
             report.record(f"flip of {a} commutes with cut {y}", new_arc, flipped_back)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from angulator.annulus import (
     AnnulusAngulation,
     AnnulusConfig,
     Bridge,
+    BridgeCut,
     InnerChord,
     OuterChord,
     UnsupportedFlip,
@@ -21,10 +23,13 @@ from angulator.annulus import (
 )
 from angulator.disk import (
     Diagonal,
+    DiskAngulation,
     InvalidAngulation,
     NotInAngulation,
     crosses as disk_crosses,
 )
+from angulator.faces import quiver_from_faces
+from angulator.verify import random_walk
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
 C11 = AnnulusConfig(1, 1, 1)
@@ -365,6 +370,75 @@ class TestQuiverOf:
             assert q.mult(j, i, C43.m - c) == v
 
 
+    def test_read_from_the_cut_disk_like_the_mapped_back_faces(self):
+        # the quiver renames the cut disk's sides; the faces mapped back to
+        # the annulus name their arcs themselves
+        for cfg in (C11, AnnulusConfig(1, 2, 2), C43):
+            for ang, _ in random_walk(cfg, 15, 8):
+                vertex = {a: i for i, a in enumerate(ang.arcs)}
+                for ref in ang.bridges():
+                    assert ang.quiver_of() == quiver_from_faces(
+                        cfg.m, len(vertex), vertex, ang.faces(ref))
+
+
+WRONG_CELLS = {
+    "type": "annulus", "m": 3, "p": 2, "q": 1,
+    "arcs": [
+        {"kind": "bridge", "outer": 1, "inner": 1, "winding": 0},
+        {"kind": "bridge", "outer": 1, "inner": 1, "winding": 1},
+        {"kind": "bridge", "outer": 3, "inner": 1, "winding": 1},
+    ],
+}
+SMALL = [AnnulusConfig(m, p, q) for m in (1, 2, 3)
+         for p in (1, 2, 3) for q in (1, 2, 3) if p + q <= 4]
+
+
+def full_noncrossing_sets(cfg, rng, trials):
+    """Random sets of p+q pairwise noncrossing m-diagonal arcs, each with
+    a bridge; most need not cut the annulus into (m+2)-gons."""
+    pool = [Bridge(o, i, w) for o in range(1, cfg.outer_len + 1)
+            for i in range(1, cfg.inner_len + 1) for w in (-1, 0, 1)]
+    bridge_count = len(pool)
+    for kind, length in ((OuterChord, cfg.outer_len), (InnerChord, cfg.inner_len)):
+        pool += [kind(s, t) for s in range(1, length + 1)
+                 for t in range(cfg.m + 1, length, cfg.m)]
+    for _ in range(trials):
+        chosen = [pool[rng.randrange(bridge_count)]]
+        for a in rng.sample(pool, len(pool)):
+            if len(chosen) < cfg.rank and not any(
+                    a == b or crosses(cfg, a, b) for b in chosen):
+                chosen.append(a)
+        if len(chosen) == cfg.rank:
+            yield chosen
+
+
+class TestCellSizes:
+    """An annulus angulation's cells must be (m+2)-gons, not only its arcs
+    noncrossing and p+q in number."""
+
+    def test_noncrossing_arcs_with_a_wrong_cell_are_invalid(self):
+        ang = AnnulusAngulation.from_json_dict(WRONG_CELLS)
+        assert ang.violations() == [
+            "B(O3,I1,1) is not an m-diagonal of the cut along B(O1,I1,0)"
+        ]
+        with pytest.raises(InvalidAngulation):
+            ang.quiver_of()
+
+    def test_valid_iff_the_least_bridge_cut_is_a_disk_angulation(self):
+        outcomes = {1: set(), 2: set(), 3: set()}
+        for cfg in SMALL:
+            rng = random.Random(f"{cfg.m}{cfg.p}{cfg.q}")
+            for arcs in full_noncrossing_sets(cfg, rng, 40):
+                ang = AnnulusAngulation(cfg, arcs)
+                ref = ang.bridges()[0]
+                cut = BridgeCut(cfg, ref)
+                local = DiskAngulation(
+                    cut.disk, [cut.to_disk(a) for a in ang.arcs if a != ref])
+                assert ang.is_valid() == local.is_valid()
+                outcomes[cfg.m].add(ang.is_valid())
+        assert outcomes == {1: {True}, 2: {True, False}, 3: {True, False}}
+
+
 class TestEars:
     def test_chord_of_span_m_plus_1(self):
         assert is_m_ear(C43, OuterChord(1, 3))
@@ -401,6 +475,24 @@ class TestCutAlong:
             diag = res.to_disk(a)
             assert res.disk.is_m_diagonal(diag.a, diag.b)
             assert res.from_disk(diag) == a
+
+    def test_bridge_cut_reads_no_config_property_per_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("config property read")
+
+        for ang, _ in random_walk(C43, 10, 2):
+            y = ang.bridges()[0]
+            cut = BridgeCut(C43, y)
+            with monkeypatch.context() as patch:
+                for name in ("outer_len", "inner_len", "rank", "period"):
+                    patch.setattr(AnnulusConfig, name, property(refuse))
+                for name in ("top", "bottom"):
+                    patch.setattr(AnnulusConfig, name, refuse)
+                for a in ang.arcs:
+                    if a != y:
+                        diag = cut.to_disk(a)
+                        assert not cut.encloses(diag)
+                        assert cut.from_disk(diag) == a
 
     def test_bridge_cut_preserves_crossings(self):
         pool = [Bridge(o, i, w) for o in (1, 3) for i in (1, 4) for w in (0, 1)]

@@ -145,6 +145,12 @@ class TestFlip:
         code, _, err = run(capsys, "flip", bad, "--arc", "0")
         assert code == 3 and "invalid" in err
 
+    def test_no_arcs_exit_4(self, capsys):
+        empty = json.dumps({"type": "disk", "m": 2, "sides": 4, "diagonals": []})
+        code, _, err = run(capsys, "flip", empty, "--arc", "0")
+        assert code == 4
+        assert err == "error: arc index 0: the angulation has no arcs\n"
+
 
 class TestVertexOutOfRange:
     DISK = json.dumps(
@@ -272,6 +278,22 @@ class TestValidate:
             {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [2, 4]]}
         )
         assert run(capsys, "validate", bad)[0] == 3
+
+    def test_annulus_cells_must_be_m_plus_2_gons(self, capsys):
+        # three noncrossing bridges, p + q of them, but a cell of the wrong
+        # size: the cut disk has no angulation with these diagonals
+        bad = json.dumps({
+            "type": "annulus", "m": 3, "p": 2, "q": 1,
+            "arcs": [
+                {"kind": "bridge", "outer": 1, "inner": 1, "winding": 0},
+                {"kind": "bridge", "outer": 1, "inner": 1, "winding": 1},
+                {"kind": "bridge", "outer": 3, "inner": 1, "winding": 1},
+            ],
+        })
+        for argv in (["validate", bad], ["quiver", bad], ["flip", bad, "--arc", "0"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, "")
+            assert "B(O3,I1,1) is not an m-diagonal of the cut" in err
 
 
 class TestEnumerate:

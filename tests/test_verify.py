@@ -228,12 +228,9 @@ class TestIncrementalWalks:
         monkeypatch.setattr(AnnulusAngulation, "flip", disk.once_per_arc(
             counted(calls, "flip", AnnulusAngulation.flip.__wrapped__)))
         cases = list(random_walk(cfg, 12, 4))
-        # the check flips every flippable arc but the bridge it cuts along
-        rest = [[a for a in ang.arcs if a != ang.bridges()[0] and ang.can_flip(a)]
-                for ang, _ in cases]
-        fresh = sum(len(r) - (arc in r) for r, (_, arc) in zip(rest, cases))
+        # the check reads every new arc from twist and flips nothing
         assert check_cut_transport(cfg, cases).passed
-        assert calls == {"flip": 12 + fresh}
+        assert calls == {"flip": 12}
 
     @pytest.mark.parametrize("cfg", [c for c in ANNULUS_MATRIX if c.m >= 2], ids=repr)
     def test_can_flip_every_arc_without_a_cut(self, monkeypatch, cfg):
@@ -243,6 +240,93 @@ class TestIncrementalWalks:
                 assert all(ang.can_flip(a) for a in ang.arcs)
             for a in ang.arcs:
                 ang.flip(a)  # must not raise
+
+
+class TestTwist:
+    """``twist(x)`` is the arc that ``flip(x)`` puts in x's place, on both
+    models, without building the flipped angulation."""
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
+    def test_twist_is_the_new_arc_of_the_flip(self, cfg):
+        refused = 0
+        for ang, arc in random_walk(cfg, 25, 3):
+            # the walked object is rebased; the flip result is not
+            for obj in (ang, ang.flip(arc)):
+                for x in obj.arcs:
+                    try:
+                        new = obj.twist(x)
+                    except UnsupportedFlip:
+                        # refused exactly where can_flip is False
+                        refused += 1
+                        assert not obj.can_flip(x)
+                        continue
+                    assert obj.can_flip(x)
+                    assert new == verify._new_arc(obj, obj.flip(x))
+        # only m = 1 annuli with p or q >= 2 have positions outside the model
+        assert bool(refused) == (cfg in ANNULUS_MATRIX and cfg.m == 1 and cfg.rank > 2)
+
+
+def flip_chains(cfg, steps, seed):
+    """(parent, flip result) pairs along a walk and along the m+1 flips of
+    the flip-cycle chain at each of its steps."""
+    for ang, arc in random_walk(cfg, steps, seed):
+        cur, x = ang, arc
+        for _ in range(cfg.m + 1):
+            nxt = cur.flip(x)
+            yield cur, nxt
+            cur, x = nxt, verify._new_arc(cur, nxt)
+
+
+class TestFlipValidity:
+    """A flip result is checked against its parent in O(r), and a cut
+    view's disk takes its validity from the annulus.  Both must agree with
+    what fresh objects work out in full."""
+
+    @pytest.mark.parametrize("cfg", verify.DISK_MATRIX + ANNULUS_MATRIX, ids=repr)
+    def test_carried_validity_matches_fresh_objects(self, cfg):
+        for parent, out in flip_chains(cfg, 12, 6):
+            for obj in (parent, out):
+                fresh = type(obj)(obj.config, obj.arcs)
+                assert obj.violations() == fresh.violations() == []
+                for ref, view in getattr(obj, "_views", {}).items():
+                    cut = annulus.BridgeCut(cfg, ref)
+                    local = DiskAngulation(
+                        cut.disk, [cut.to_disk(a) for a in obj.arcs if a != ref])
+                    assert view.disk == local
+                    assert view.disk.violations() == local.violations() == []
+
+    @pytest.mark.parametrize("wrong", ["crossing", "duplicate"])
+    def test_a_wrong_disk_twist_makes_the_flip_invalid(self, monkeypatch, wrong):
+        ang = initial_fan(DiskConfig(2, 14))  # (1,4), (1,6), ..., (1,12)
+        # (3,6) is an m-diagonal crossing (1,4); (1,4) is already there
+        bad = Diagonal(3, 6) if wrong == "crossing" else Diagonal(1, 4)
+        monkeypatch.setattr(DiskAngulation, "twist", lambda self, d: bad)
+        flipped = ang.flip(Diagonal(1, 6))
+        assert not flipped.is_valid()
+        assert flipped.violations() == DiskAngulation(
+            flipped.config, flipped.arcs).violations()
+
+    @pytest.mark.parametrize("wrong", ["crossing", "short"])
+    def test_a_wrong_disk_twist_makes_the_annulus_flip_invalid(self, monkeypatch, wrong):
+        ang = initial_bridges(AnnulusConfig(2, 2, 2))
+        x = ang.arcs[0]
+        view = ang._held_view(x)
+        others = [e for a, e in view.diagonal.items() if a != x]
+        if wrong == "crossing":
+            bad = next(d for d in view.cut.disk.all_diagonals()
+                       if any(disk.crosses(d, e) for e in others))
+        else:
+            # a chord of the region around x that cuts off a triangle and
+            # stands for a bridge: it crosses nothing and is an m-diagonal
+            # of the annulus, but leaves cells that are not (m+2)-gons
+            region = view.disk.merged_region(view.diagonal[x])
+            bad = next(d for d in map(Diagonal, region, region[2:])
+                       if isinstance(view.cut.from_disk(d), annulus.Bridge))
+            assert not view.cut.disk.is_m_diagonal(bad.a, bad.b)
+        monkeypatch.setattr(DiskAngulation, "twist", lambda self, d: bad)
+        flipped = ang.flip(x)
+        assert not flipped.is_valid()
+        assert not AnnulusAngulation(flipped.config, flipped.arcs).is_valid()
 
 
 def counted(calls, name, fn):
