@@ -19,7 +19,6 @@ raises UnsupportedFlip instead of leaving the model.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -32,6 +31,7 @@ from .disk import (
     Edge,
     InvalidAngulation,
     NotInAngulation,
+    almost_complete,
     once_per_arc,
 )
 from .faces import Face, quiver_from_faces
@@ -146,6 +146,14 @@ class AnnulusConfig:
             raise IndexError(f"chord start {arc.start} out of range")
         return arc.span % m == 1 % m and m + 1 <= arc.span <= length - 1
 
+    def crosses(self, x: ArcClass, y: ArcClass) -> bool:
+        """The module function ``crosses``, looked up at each call."""
+        return crosses(self, x, y)
+
+    def is_m_ear(self, arc: ArcClass) -> bool:
+        """True iff the arc is a chord cutting off a single (m+2)-gon."""
+        return not isinstance(arc, Bridge) and arc.span == self.m + 1
+
     def rebase(self, arc: ArcClass, shift: int) -> ArcClass:
         """Add a common winding shift (a power of the deck twist)."""
         if isinstance(arc, Bridge):
@@ -209,20 +217,10 @@ class AnnulusAngulation(Angulation):
     def bridges(self) -> list[Bridge]:
         return [a for a in self.arcs if isinstance(a, Bridge)]
 
-    @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        out = []
-        for a in self.arcs:
-            if not self.config.is_m_diagonal(a):
-                out.append(f"{a} is not an m-diagonal")
-        for a, b in itertools.combinations(self.arcs, 2):
-            if crosses(self.config, a, b):
-                out.append(f"{a} crosses {b}")
-        if len(self.arcs) != self.config.rank:
-            out.append(f"{len(self.arcs)} arcs, expected {self.config.rank}")
+    def _more_problems(self, found: list[str]) -> tuple[str, ...]:
         if not self.bridges():
-            out.append("no bridge present")
-        return tuple(out) or self._cell_problems()
+            found.append("no bridge present")
+        return tuple(found) or self._cell_problems()
 
     def _cell_problems(self) -> tuple[str, ...]:
         """The arcs of a noncrossing set of p+q arcs with a bridge that are
@@ -240,31 +238,11 @@ class AnnulusAngulation(Angulation):
         diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
         bad = tuple(
             f"{a} is not an m-diagonal of the cut along {ref}"
-            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d.a, d.b)
+            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
         )
         if not bad:
             self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
         return bad
-
-    def _flip_problems(self, new: ArcClass, cut: "BridgeCut",
-                       new_diagonal: Diagonal) -> tuple[str, ...]:
-        """``_problems`` of a flip result whose parent was valid, worked
-        out in O(r): the new arc must be an m-diagonal, cross no other arc
-        and duplicate none, and its diagonal must be an m-diagonal of the
-        cut the flip worked in, whose bridge stays.  Messages as a fresh
-        object words them, except that the cut named is that one."""
-        cfg = self.config
-        out = [] if cfg.is_m_diagonal(new) else [f"{new} is not an m-diagonal"]
-        for a in self.arcs:
-            # the r - 1 others; new itself is skipped
-            if a is not new and crosses(cfg, a, new):
-                x, y = sorted((a, new), key=arc_sort_key)
-                out.append(f"{x} crosses {y}")
-        if len(self.arcs) != cfg.rank:
-            out.append(f"{len(self.arcs)} arcs, expected {cfg.rank}")
-        if not out and not cut.disk.is_m_diagonal(new_diagonal.a, new_diagonal.b):
-            out.append(f"{new} is not an m-diagonal of the cut along {cut.bridge}")
-        return tuple(out)
 
     def violations(self) -> list[str]:
         return list(self._problems)
@@ -358,7 +336,11 @@ class AnnulusAngulation(Angulation):
         diagonal[new] = new_diagonal
         flipped = view.disk._flipped(d, new_diagonal)
         out._views[view.cut.bridge] = CutView(view.cut, diagonal, flipped)
-        problems = out._flip_problems(new, view.cut, new_diagonal)
+        # the cell rule, read in the cut the flip worked in: its bridge
+        # stays; a fresh object names the cut along its least bridge
+        problems = out._flip_problems(new)
+        if not problems and not view.cut.disk.is_m_diagonal(new_diagonal):
+            problems = (f"{new} is not an m-diagonal of the cut along {view.cut.bridge}",)
         out.__dict__["_problems"] = problems
         if not problems:
             # the view's disk takes its validity from the annulus
@@ -451,45 +433,22 @@ def initial_bridges(cfg: AnnulusConfig) -> AnnulusAngulation:
     return AnnulusAngulation(cfg, arcs)
 
 
-def is_m_ear(cfg: AnnulusConfig, arc: ArcClass) -> bool:
-    """True iff the arc is a chord cutting off a single (m+2)-gon."""
-    if isinstance(arc, Bridge):
-        return False
-    return arc.span == cfg.m + 1
-
-
 def completions(
     cfg: AnnulusConfig, partial: Iterable[ArcClass], removed: ArcClass
 ) -> list[ArcClass]:
     """The m+1 arcs completing an almost-complete angulation, in clockwise
     cycle order starting after ``removed`` and ending with it."""
-    partial = tuple(sorted(set(partial), key=arc_sort_key))
-    if len(partial) != cfg.rank - 1:
-        raise InvalidAngulation("input is not an almost-complete angulation")
-    for a in (removed, *partial):
-        if not cfg.is_m_diagonal(a):
-            raise InvalidAngulation(f"{a} is not an m-diagonal")
-    if removed in partial:
-        raise InvalidAngulation(f"{removed} is still present")
-    for a in partial:
-        if crosses(cfg, a, removed):
-            raise InvalidAngulation(f"{removed} crosses {a}")
-    ref = min(
-        (b for b in partial if isinstance(b, Bridge)), key=arc_sort_key, default=None
-    )
+    partial = almost_complete(cfg, partial, removed, arc_sort_key)
+    # the least bridge, as partial is in canonical order
+    ref = next((b for b in partial if isinstance(b, Bridge)), None)
     if ref is None:
         raise InvalidAngulation("an almost-complete angulation keeps a bridge")
     cut = BridgeCut(cfg, ref)
     from .disk import completions as disk_completions
 
-    try:
-        disk_partial = [cut.to_disk(a) for a in partial if a != ref]
-    except ValueError as exc:  # an arc crossing the bridge cut along
-        raise InvalidAngulation(f"{exc} {ref}") from None
-    out = []
-    for diag in disk_completions(cut.disk, disk_partial, cut.to_disk(removed)):
-        out.append(cut.from_disk(diag))
-    return out
+    disk_partial = [cut.to_disk(a) for a in partial if a != ref]
+    return [cut.from_disk(d)
+            for d in disk_completions(cut.disk, disk_partial, cut.to_disk(removed))]
 
 
 class BridgeCut:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, wraps
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .faces import Face, quiver_from_faces, split_regions
 from .quiver import ColoredQuiver, json_int
@@ -89,27 +89,21 @@ class DiskConfig:
         if not (1 <= v <= self.sides):
             raise IndexError(f"vertex {v} outside 1..{self.sides}")
 
-    def is_m_diagonal(self, a: int, b: int) -> bool:
-        """True iff the chord a-b cuts off two pieces of size 2 (mod m)."""
-        self.check_vertex(a)
-        self.check_vertex(b)
-        if a == b:
-            return False
-        lo, hi = min(a, b), max(a, b)
-        diff = hi - lo
+    def is_m_diagonal(self, d: Diagonal) -> bool:
+        """True iff the chord d cuts off two pieces of size 2 (mod m)."""
+        self.check_vertex(d.a)
+        self.check_vertex(d.b)
+        diff = d.b - d.a
         return diff % self.m == 1 % self.m and self.m + 1 <= diff <= self.sides - self.m - 1
 
-    def diagonal(self, a: int, b: int) -> Diagonal:
-        if not self.is_m_diagonal(a, b):
-            raise InvalidAngulation(f"({a},{b}) is not an m-diagonal here")
-        return Diagonal(a, b)
+    def crosses(self, d: Diagonal, e: Diagonal) -> bool:
+        """The module function ``crosses``, looked up at each call."""
+        return crosses(d, e)
 
     def all_diagonals(self) -> list[Diagonal]:
-        return sorted(
-            Diagonal(a, b)
-            for a, b in itertools.combinations(range(1, self.sides + 1), 2)
-            if self.is_m_diagonal(a, b)
-        )
+        # combinations come in (a, b) order, the canonical one
+        pairs = itertools.combinations(range(1, self.sides + 1), 2)
+        return [d for d in itertools.starmap(Diagonal, pairs) if self.is_m_diagonal(d)]
 
     def is_m_ear(self, d: Diagonal) -> bool:
         """True iff d cuts off a single (m+2)-gon."""
@@ -117,21 +111,60 @@ class DiskConfig:
         return diff == self.m + 1 or diff == self.sides - self.m - 1
 
 
+def arc_set_problems(config, arcs: Sequence) -> Iterator[str]:
+    """The arcs that are not m-diagonals of ``config``, then the crossing
+    pairs, in the order of ``arcs``; lazily, so a caller can stop at the
+    first."""
+    for x in arcs:
+        if not config.is_m_diagonal(x):
+            yield f"{x} is not an m-diagonal"
+    for x, y in itertools.combinations(arcs, 2):
+        if config.crosses(x, y):
+            yield f"{x} crosses {y}"
+
+
+def require_arc_set(config, arcs: Sequence):
+    """Raise InvalidAngulation for the first of ``arc_set_problems``."""
+    problem = next(arc_set_problems(config, arcs), None)
+    if problem:
+        raise InvalidAngulation(problem)
+
+
+def almost_complete(config, partial: Iterable, removed, key=None) -> tuple:
+    """``partial`` in the canonical order ``key``, checked to hold r - 1
+    arcs other than ``removed`` that are, with it, noncrossing
+    m-diagonals; the input check of the module functions ``completions``."""
+    partial = tuple(sorted(set(partial), key=key))
+    if len(partial) != config.rank - 1 or config.rank < 1:
+        raise InvalidAngulation("input is not an almost-complete angulation")
+    if removed in partial:
+        raise InvalidAngulation(f"{removed} is still present")
+    require_arc_set(config, (removed, *partial))
+    return partial
+
+
 class Angulation:
     """What the disk and annulus angulations share: an immutable set of
     arcs of one configuration, in the model's canonical order, checked at
     most once.
 
-    A model class defines ``_problems`` (its violations, as a tuple),
-    ``_read_quiver`` (its quiver in a given arc order) and ``violations``,
-    ``twist``, ``flip``, ``completions``, ``faces`` and ``quiver_of`` in
-    its own namespace, where the span tracer of ``perfbench`` finds them.
-    A flip result's ``_problems`` is worked out when it is built, from
-    its valid parent and the new arc alone, in O(r).
+    The configuration answers the questions about single arcs and pairs:
+    ``rank``, ``is_m_diagonal``, ``crosses`` and ``is_m_ear``.  On them
+    this class builds ``_problems``: the arcs that are no m-diagonals, the
+    crossing pairs and a wrong count, to which a model adds its own rules
+    through ``_more_problems``.  A flip result's ``_problems`` is worked
+    out by ``_flip_problems`` when it is built, from its valid parent and
+    the new arc alone, in O(r).
+
+    A model class defines ``_read_quiver`` (its quiver in a given arc
+    order) and ``violations``, ``twist``, ``flip``, ``completions``,
+    ``faces`` and ``quiver_of`` in its own namespace, where the span
+    tracer of ``perfbench`` finds them.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
     _arc_key = None  # the sort key of the canonical arc order
+    _noun = "arcs"  # what the count message calls the arcs
 
     def __init__(self, config, arcs: Iterable):
         object.__setattr__(self, "config", config)
@@ -149,6 +182,36 @@ class Angulation:
 
     def __hash__(self):
         return hash((self.config, self.arcs))
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        cfg = self.config
+        out = list(arc_set_problems(cfg, self.arcs))
+        if len(self.arcs) != cfg.rank:
+            out.append(f"{len(self.arcs)} {self._noun}, expected {cfg.rank}")
+        return self._more_problems(out)
+
+    def _more_problems(self, found: list[str]) -> tuple[str, ...]:
+        """``_problems`` from the shared ones ``found``; a model with
+        rules of its own adds them here."""
+        return tuple(found)
+
+    def _flip_problems(self, new) -> tuple[str, ...]:
+        """The shared ``_problems`` of a flip result whose parent was
+        valid: only the new arc can be at fault, by not being an
+        m-diagonal, by crossing another arc, or by duplicating one, which
+        leaves one arc too few.  The messages and their order are those of
+        a fresh object."""
+        cfg = self.config
+        out = [] if cfg.is_m_diagonal(new) else [f"{new} is not an m-diagonal"]
+        # the r - 1 others (new itself is skipped), each pair in canonical order
+        for x in self.arcs:
+            if x is not new and cfg.crosses(x, new):
+                a, b = sorted((x, new), key=self._arc_key)
+                out.append(f"{a} crosses {b}")
+        if len(self.arcs) != cfg.rank:
+            out.append(f"{len(self.arcs)} {self._noun}, expected {cfg.rank}")
+        return tuple(out)
 
     def is_valid(self) -> bool:
         return not self._problems
@@ -209,44 +272,10 @@ class DiskAngulation(Angulation):
     """A maximal noncrossing set of m-diagonals, canonically sorted."""
 
     __slots__ = ()
+    _noun = "diagonals"
 
     def __repr__(self):
         return "".join(map(repr, self.arcs)) or "(empty)"
-
-    @property
-    def diagonals(self) -> tuple[Diagonal, ...]:
-        """The arcs, under the disk's name for them."""
-        return self.arcs
-
-    @cached_property
-    def _problems(self) -> tuple[str, ...]:
-        out = []
-        for d in self.arcs:
-            if not self.config.is_m_diagonal(d.a, d.b):
-                out.append(f"{d} is not an m-diagonal")
-        for d, e in itertools.combinations(self.arcs, 2):
-            if crosses(d, e):
-                out.append(f"{d} crosses {e}")
-        if len(self.arcs) != self.config.rank:
-            out.append(f"{len(self.arcs)} diagonals, expected {self.config.rank}")
-        return tuple(out)
-
-    def _flip_problems(self, new: Diagonal) -> tuple[str, ...]:
-        """``_problems`` of a flip result whose parent was valid: only the
-        new diagonal can be at fault, by not being an m-diagonal, by
-        crossing another diagonal, or by duplicating one, which leaves one
-        diagonal too few.  The messages and their order are those of a
-        fresh object."""
-        cfg = self.config
-        out = [] if cfg.is_m_diagonal(new.a, new.b) else [f"{new} is not an m-diagonal"]
-        # the r - 1 others (new itself is skipped), each pair in sorted order
-        out += [
-            f"{min(d, new)} crosses {max(d, new)}"
-            for d in self.arcs if d is not new and crosses(d, new)
-        ]
-        if len(self.arcs) != cfg.rank:
-            out.append(f"{len(self.arcs)} diagonals, expected {cfg.rank}")
-        return tuple(out)
 
     def violations(self) -> list[str]:
         return list(self._problems)
@@ -405,20 +434,7 @@ def completions(
     clockwise cycle starting from the removed diagonal's successor and ends
     with the removed diagonal itself.
     """
-    partial = tuple(sorted(set(partial)))
-    if len(partial) != cfg.rank - 1 or cfg.rank < 1:
-        raise InvalidAngulation("input is not an almost-complete angulation")
-    for d in (removed, *partial):
-        if not cfg.is_m_diagonal(d.a, d.b):
-            raise InvalidAngulation(f"{d} is not an m-diagonal")
-    for d in partial:
-        if crosses(d, removed):
-            raise InvalidAngulation(f"{removed} crosses {d}")
-    for d, e in itertools.combinations(partial, 2):
-        if crosses(d, e):
-            raise InvalidAngulation(f"{d} crosses {e}")
-    if removed in partial:
-        raise InvalidAngulation(f"{removed} is still present")
+    partial = almost_complete(cfg, partial, removed)
     cycle = list(range(1, cfg.sides + 1))
     chords = [frozenset((d.a, d.b)) for d in partial]
     big = [r for r in split_regions(cycle, chords) if len(r) == 2 * cfg.m + 2]
@@ -440,12 +456,7 @@ def complete(cfg: DiskConfig, partial: Iterable[Diagonal]) -> DiskAngulation:
     appended until the rank is reached, so the result is deterministic.
     """
     chosen = sorted(set(partial))
-    for d in chosen:
-        if not cfg.is_m_diagonal(d.a, d.b):
-            raise InvalidAngulation(f"{d} is not an m-diagonal")
-    for d, e in itertools.combinations(chosen, 2):
-        if crosses(d, e):
-            raise InvalidAngulation(f"{d} crosses {e}")
+    require_arc_set(cfg, chosen)
     for cand in cfg.all_diagonals():
         if len(chosen) == cfg.rank:
             break
@@ -489,7 +500,7 @@ class DiskCut:
 
 def cut_along(cfg: DiskConfig, d: Diagonal) -> DiskCut:
     """Split the polygon at d into two smaller disk configurations."""
-    if not cfg.is_m_diagonal(d.a, d.b):
+    if not cfg.is_m_diagonal(d):
         raise InvalidAngulation(f"{d} is not an m-diagonal")
     s1 = d.b - d.a + 1
     s2 = cfg.sides - (d.b - d.a) + 1

@@ -31,23 +31,35 @@ def split_regions(cycle: Sequence[Hashable], chords: Iterable[frozenset]) -> lis
 
     ``cycle`` lists the polygon's vertices in clockwise order; every chord is
     a frozenset pair of cycle members.  Chords must be pairwise noncrossing.
+    The first chord splits the polygon in two; the regions of the side
+    from its first endpoint (in cycle order) to its second come first,
+    then those of the other side, each split by its chords alike.  A work
+    stack stands for the recursion, so the chord count is not bounded by
+    the interpreter's recursion limit.
     """
-    chords = list(chords)
-    if not chords:
-        return [list(cycle)]
-    a, b = sorted(chords[0], key=list(cycle).index)
-    ia, ib = cycle.index(a), cycle.index(b)
-    side1 = list(cycle[ia : ib + 1])
-    side2 = list(cycle[ib:]) + list(cycle[: ia + 1])
-    set1 = set(side1)
-    in1, in2 = [], []
-    for ch in chords[1:]:
-        u, v = tuple(ch)
-        if u in set1 and v in set1:
-            in1.append(ch)
-        else:
-            in2.append(ch)
-    return split_regions(side1, in1) + split_regions(side2, in2)
+    out = []
+    stack = [(list(cycle), list(chords))]
+    while stack:
+        cycle, chords = stack.pop()
+        if not chords:
+            out.append(cycle)
+            continue
+        a, b = sorted(chords[0], key=cycle.index)
+        ia, ib = cycle.index(a), cycle.index(b)
+        side1 = cycle[ia : ib + 1]
+        side2 = cycle[ib:] + cycle[: ia + 1]
+        set1 = set(side1)
+        in1, in2 = [], []
+        for ch in chords[1:]:
+            u, v = tuple(ch)
+            if u in set1 and v in set1:
+                in1.append(ch)
+            else:
+                in2.append(ch)
+        # side2 is pushed first, so side1's regions are all listed before it
+        stack.append((side2, in2))
+        stack.append((side1, in1))
+    return out
 
 
 def quiver_from_faces(

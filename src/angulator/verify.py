@@ -290,93 +290,51 @@ def check_gabriel(cfg: DiskConfig) -> VerificationReport:
     return report
 
 
-def _check_disk_cut(report, cfg, angulation, d):
-    cut = disk.cut_along(cfg, d)
-    rest = [e for e in angulation.arcs if e != d]
-    placed = {e: cut.transport(e) for e in rest}
-    for e, f in itertools.combinations(rest, 2):
-        pe, le = placed[e]
-        pf, lf = placed[f]
-        got = disk.crosses(le, lf) if pe == pf else False
-        want = disk.crosses(e, f)
-        if not report.passes(got == want):
-            report.record(f"crossing {e},{f} under cut {d}", want, got)
-    by_piece = {1: [], 2: []}
-    for e in rest:
-        piece, local = placed[e]
-        by_piece[piece].append(local)
-        pc = cut.piece1 if piece == 1 else cut.piece2
-        if not report.passes(pc.is_m_diagonal(local.a, local.b)):
-            report.record(f"validity of {e} under cut {d}", True, False)
-        back = cut.pull_back(piece, local)
-        if not report.passes(back == e):
-            report.record(f"round trip of {e} under cut {d}", e, back)
-    # flips of diagonals disjoint from the cut commute with transport
-    pieces = {1: disk.DiskAngulation(cut.piece1, by_piece[1]),
-              2: disk.DiskAngulation(cut.piece2, by_piece[2])}
-    for e in rest:
-        piece, local = placed[e]
-        flipped_back = cut.pull_back(piece, pieces[piece].twist(local))
-        flipped_global = angulation.twist(e)
-        if not report.passes(flipped_back == flipped_global):
-            report.record(f"flip of {e} commutes with cut {d}", flipped_global,
-                          flipped_back)
+def _check_cut(report, angulation, arc, transport, pieces, pull_back=None):
+    """The cases of cutting ``angulation`` along its arc ``arc``.
 
-
-def _check_annulus_bridge_cut(report, cfg, angulation, y):
-    cut = ann.cut_along(cfg, y)
-    rest = [a for a in angulation.arcs if a != y]
-    placed = {a: cut.to_disk(a) for a in rest}
-    for a, b in itertools.combinations(rest, 2):
-        got = disk.crosses(placed[a], placed[b])
-        want = ann.crosses(cfg, a, b)
+    ``transport`` sends every other arc to (piece, its arc there), and
+    ``pieces`` maps a piece to its configuration: transport keeps the
+    crossing relation and validity.  Given ``pull_back(piece, local arc)``,
+    transport is also undone by it and commutes with flips of the arcs
+    that stay.  Returns {arc: (piece, piece configuration, local arc)}.
+    """
+    cfg = angulation.config
+    placed = {}
+    for a in angulation.arcs:
+        if a != arc:
+            piece, local = transport(a)
+            placed[a] = piece, pieces[piece], local
+    for a, b in itertools.combinations(placed, 2):
+        (pa, piece_cfg, la), (pb, _, lb) = placed[a], placed[b]
+        got = pa == pb and piece_cfg.crosses(la, lb)
+        want = cfg.crosses(a, b)
         if not report.passes(got == want):
-            report.record(f"crossing {a},{b} under cut {y}", want, got)
-    for a in rest:
-        if not report.passes(cut.disk.is_m_diagonal(placed[a].a, placed[a].b)):
-            report.record(f"validity of {a} under cut {y}", True, False)
-        back = cut.from_disk(placed[a])
-        if not report.passes(back == a):
-            report.record(f"round trip of {a} under cut {y}", a, back)
-    # flips away from the cut commute with transport (also exercises the
+            report.record(f"crossing {a},{b} under cut {arc}", want, got)
+    for a, (piece, piece_cfg, local) in placed.items():
+        if not report.passes(piece_cfg.is_m_diagonal(local)):
+            report.record(f"validity of {a} under cut {arc}", True, False)
+        if pull_back:
+            back = pull_back(piece, local)
+            if not report.passes(back == a):
+                report.record(f"round trip of {a} under cut {arc}", a, back)
+    if not pull_back:
+        return placed
+    # the pieces are disks: the twist of an arc that stays, read in its
+    # piece, pulls back to its twist (on an annulus this also exercises the
     # independence of the twist from the bridge chosen internally)
-    disk_ang = disk.DiskAngulation(cut.disk, list(placed.values()))
-    for a in rest:
+    cut_up = {
+        piece: disk.DiskAngulation(piece_cfg, [v for p, _, v in placed.values() if p == piece])
+        for piece, piece_cfg in pieces.items()
+    }
+    for a, (piece, _, local) in placed.items():
         if not angulation.can_flip(a):
             continue
         new_arc = angulation.twist(a)
-        flipped_back = cut.from_disk(disk_ang.twist(placed[a]))
+        flipped_back = pull_back(piece, cut_up[piece].twist(local))
         if not report.passes(flipped_back == new_arc):
-            report.record(f"flip of {a} commutes with cut {y}", new_arc, flipped_back)
-
-
-def _check_annulus_chord_cut(report, cfg, angulation, ear):
-    res = ann.cut_along(cfg, ear)
-    rest = [a for a in angulation.arcs if a != ear]
-    placed = {a: res.transport(a) for a in rest}
-    small = {a: v for a, (where, v) in placed.items() if where == "annulus"}
-    in_disk = {a: v for a, (where, v) in placed.items() if where == "disk"}
-    for a, b in itertools.combinations(rest, 2):
-        want = ann.crosses(cfg, a, b)
-        if a in small and b in small:
-            got = ann.crosses(res.annulus, small[a], small[b])
-        elif a in in_disk and b in in_disk:
-            got = disk.crosses(in_disk[a], in_disk[b])
-        else:
-            got = False
-        if not report.passes(got == want):
-            report.record(f"crossing {a},{b} under cut {ear}", want, got)
-    for a, v in small.items():
-        if not report.passes(res.annulus.is_m_diagonal(v)):
-            report.record(f"validity of {a} under cut {ear}", True, False)
-    for a, v in in_disk.items():
-        if not report.passes(res.disk.is_m_diagonal(v.a, v.b)):
-            report.record(f"validity of {a} under cut {ear}", True, False)
-    # the reduced arcs form an angulation of the smaller annulus
-    reduced = ann.AnnulusAngulation(res.annulus, list(small.values()))
-    if not report.passes(reduced.is_valid()):
-        report.record(f"reduced angulation under cut {ear}", "[]",
-                      repr(reduced.violations()))
+            report.record(f"flip of {a} commutes with cut {arc}", new_arc, flipped_back)
+    return placed
 
 
 def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
@@ -385,15 +343,26 @@ def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
     report = VerificationReport(suite or f"cut-transport {cfg}")
     with _Timer(report):
         for angulation, _ in cases:
+            ears = [a for a in angulation.arcs if cfg.is_m_ear(a)]
             if isinstance(cfg, DiskConfig):
-                ears = [d for d in angulation.arcs if cfg.is_m_ear(d)]
-                _check_disk_cut(report, cfg, angulation, ears[0])
-            else:
-                _check_annulus_bridge_cut(report, cfg, angulation,
-                                          angulation.bridges()[0])
-                ears = [a for a in angulation.arcs if ann.is_m_ear(cfg, a)]
-                if ears:
-                    _check_annulus_chord_cut(report, cfg, angulation, ears[0])
+                cut = disk.cut_along(cfg, ears[0])
+                _check_cut(report, angulation, cut.chord, cut.transport,
+                           {1: cut.piece1, 2: cut.piece2}, cut.pull_back)
+                continue
+            cut = ann.cut_along(cfg, angulation.bridges()[0])
+            _check_cut(report, angulation, cut.bridge, lambda a: (0, cut.to_disk(a)),
+                       {0: cut.disk}, lambda _, d: cut.from_disk(d))
+            if not ears:
+                continue
+            res = ann.cut_along(cfg, ears[0])
+            placed = _check_cut(report, angulation, res.chord, res.transport,
+                                {"annulus": res.annulus, "disk": res.disk})
+            # the reduced arcs form an angulation of the smaller annulus
+            reduced = ann.AnnulusAngulation(
+                res.annulus, [v for piece, _, v in placed.values() if piece == "annulus"])
+            if not report.passes(reduced.is_valid()):
+                report.record(f"reduced angulation under cut {res.chord}", "[]",
+                              repr(reduced.violations()))
     return report
 
 
@@ -459,8 +428,7 @@ def check_annulus_maximal(
             cut = ann.BridgeCut(cfg, pool[first])
             for idx in order:
                 if idx != first and compatible(idx, chosen):
-                    d = cut.to_disk(pool[idx])
-                    if cut.disk.is_m_diagonal(d.a, d.b):
+                    if cut.disk.is_m_diagonal(cut.to_disk(pool[idx])):
                         chosen.append(idx)
             chosen = sorted((pool[j] for j in chosen), key=ann.arc_sort_key)
             if not report.passes(len(chosen) == cfg.rank):

@@ -19,7 +19,6 @@ from angulator.annulus import (
     crosses,
     cut_along,
     initial_bridges,
-    is_m_ear,
 )
 from angulator.disk import (
     Diagonal,
@@ -331,6 +330,13 @@ class TestCompletions:
         with pytest.raises(InvalidAngulation, match="crosses"):
             completions(C43, arcs[:-2] + (Bridge(7, 1, 2),), arcs[-1])
 
+    def test_crossing_partial_arcs_named(self):
+        # the arcs are named, not their diagonals in the cut disk
+        partial = [Bridge(1, 1, 0), Bridge(3, 1, 1), OuterChord(1, 3)]
+        with pytest.raises(InvalidAngulation) as exc:
+            completions(AnnulusConfig(2, 2, 2), partial, Bridge(1, 1, 1))
+        assert str(exc.value) == "B(O3,I1,1) crosses OC(O1,3)"
+
     def test_removed_arc_still_present_rejected(self):
         arcs = initial_bridges(C43).arcs
         with pytest.raises(InvalidAngulation, match="still present"):
@@ -441,14 +447,14 @@ class TestCellSizes:
 
 class TestEars:
     def test_chord_of_span_m_plus_1(self):
-        assert is_m_ear(C43, OuterChord(1, 3))
-        assert is_m_ear(C43, InnerChord(4, 3))
+        assert C43.is_m_ear(OuterChord(1, 3))
+        assert C43.is_m_ear(InnerChord(4, 3))
 
     def test_bridges_never_ears(self):
-        assert not is_m_ear(C43, Bridge(1, 1, 0))
+        assert not C43.is_m_ear(Bridge(1, 1, 0))
 
     def test_longer_chord_not_ear(self):
-        assert not is_m_ear(C43, OuterChord(1, 5))
+        assert not C43.is_m_ear(OuterChord(1, 5))
 
 
 class TestCutAlong:
@@ -473,7 +479,7 @@ class TestCutAlong:
             if a == y:
                 continue
             diag = res.to_disk(a)
-            assert res.disk.is_m_diagonal(diag.a, diag.b)
+            assert res.disk.is_m_diagonal(diag)
             assert res.from_disk(diag) == a
 
     def test_bridge_cut_reads_no_config_property_per_call(self, monkeypatch):

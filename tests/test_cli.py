@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from angulator.annulus import AnnulusConfig, initial_bridges
+from angulator.annulus import AnnulusAngulation, AnnulusConfig, initial_bridges
 from angulator import cli
 from angulator.cli import main
-from angulator.disk import DiskConfig, initial_fan
+from angulator.disk import DiskAngulation, DiskConfig, initial_fan
 
 PENTAGON_FAN = json.dumps(
     {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 4]]}
@@ -294,6 +294,86 @@ class TestValidate:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (3, "")
             assert "B(O3,I1,1) is not an m-diagonal of the cut" in err
+
+
+def _bridge(outer, inner, winding):
+    return {"kind": "bridge", "outer": outer, "inner": inner, "winding": winding}
+
+
+def _chord(kind, start, span):
+    return {"kind": f"{kind}_chord", "start": start, "span": span}
+
+
+def _disk(*diagonals):
+    return {"type": "disk", "m": 2, "sides": 8, "diagonals": [list(d) for d in diagonals]}
+
+
+def _annulus(*arcs, m=2, p=2, q=2):
+    return {"type": "annulus", "m": m, "p": p, "q": q, "arcs": list(arcs)}
+
+
+# each invalid input with its violations() in full, in order
+VIOLATIONS = {
+    "disk non-m-diagonal": (_disk((1, 4), (1, 3)), ["(1,3) is not an m-diagonal"]),
+    "disk crossing": (_disk((1, 4), (2, 5)), ["(1,4) crosses (2,5)"]),
+    "disk count": (_disk((1, 4)), ["1 diagonals, expected 2"]),
+    "disk all": (_disk((1, 3), (1, 4), (2, 5)), [
+        "(1,3) is not an m-diagonal", "(1,3) crosses (2,5)",
+        "(1,4) crosses (2,5)", "3 diagonals, expected 2",
+    ]),
+    "annulus non-m-diagonal": (
+        _annulus(_bridge(1, 1, 0), _bridge(3, 1, 1), _bridge(1, 3, 0),
+                 _chord("outer", 1, 2)),
+        ["OC(O1,2) is not an m-diagonal"],
+    ),
+    "annulus crossing": (
+        _annulus(_bridge(1, 1, 0), _bridge(3, 1, 1), _bridge(1, 3, 0),
+                 _bridge(3, 1, -1)),
+        ["B(O1,I1,0) crosses B(O3,I1,-1)", "B(O1,I3,0) crosses B(O3,I1,-1)",
+         "B(O3,I1,-1) crosses B(O3,I1,1)"],
+    ),
+    "annulus count": (
+        _annulus(_bridge(1, 1, 0), _bridge(3, 1, 1), _bridge(1, 3, 0)),
+        ["3 arcs, expected 4"],
+    ),
+    "annulus no bridge": (
+        _annulus(_chord("outer", 1, 3), _chord("inner", 1, 3)),
+        ["2 arcs, expected 4", "no bridge present"],
+    ),
+    "annulus cells": (
+        _annulus(_bridge(1, 1, 0), _bridge(1, 1, 1), _bridge(3, 1, 1), m=3, p=2, q=1),
+        ["B(O3,I1,1) is not an m-diagonal of the cut along B(O1,I1,0)"],
+    ),
+    "annulus all": (
+        _annulus(_chord("outer", 1, 2), _chord("outer", 2, 3), _chord("inner", 1, 3)),
+        ["OC(O1,2) is not an m-diagonal", "OC(O1,2) crosses OC(O2,3)",
+         "3 arcs, expected 4", "no bridge present"],
+    ),
+}
+
+
+class TestViolationMessages:
+    @pytest.mark.parametrize("case", list(VIOLATIONS))
+    def test_messages(self, capsys, case):
+        data, expected = VIOLATIONS[case]
+        model = DiskAngulation if data["type"] == "disk" else AnnulusAngulation
+        assert model.from_json_dict(data).violations() == expected
+        code, out, err = run(capsys, "validate", json.dumps(data))
+        assert (code, out) == (3, "")
+        assert err == "error: invalid angulation: " + "; ".join(expected) + "\n"
+
+
+class TestLargeAngulation:
+    # the m = 1 fan of rank 1,300 has more diagonals than the interpreter's
+    # default recursion limit allows nested calls
+    FAN = json.dumps({"type": "disk", "m": 1, "sides": 1303,
+                      "diagonals": [[1, k] for k in range(3, 1303)]})
+
+    @pytest.mark.parametrize("argv", [["quiver"], ["flip", "--arc", "5"]])
+    def test_fan_of_rank_1300(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], self.FAN, *argv[1:])
+        assert (code, err) == (0, "")
+        assert json.loads(out)
 
 
 class TestEnumerate:

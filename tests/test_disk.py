@@ -22,6 +22,7 @@ from angulator.disk import (
     maximal_set_sizes,
     region_twist,
 )
+from angulator.faces import split_regions
 from angulator.quiver import ColoredQuiver
 from angulator.verify import COMPAT_ENUM_CAP, DISK_MATRIX, fuss_catalan, random_walk
 
@@ -82,7 +83,7 @@ def reference_flip_graph(cfg):
     index, order, edges, queue = {start: 0}, [start], set(), [start]
     while queue:
         node = queue.pop()
-        for d in node.diagonals:
+        for d in node.arcs:
             other = node.flip(d)
             if other not in index:
                 index[other] = len(order)
@@ -124,13 +125,13 @@ class TestConfig:
 
 class TestIsMDiagonal:
     def test_octagon_cases(self):
-        assert OCTAGON.is_m_diagonal(1, 4)
-        assert not OCTAGON.is_m_diagonal(1, 3)  # pieces of 3 and 7 sides
-        assert not OCTAGON.is_m_diagonal(1, 2)  # boundary edge
+        assert OCTAGON.is_m_diagonal(Diagonal(1, 4))
+        assert not OCTAGON.is_m_diagonal(Diagonal(1, 3))  # pieces of 3 and 7 sides
+        assert not OCTAGON.is_m_diagonal(Diagonal(1, 2))  # boundary edge
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):
-            OCTAGON.is_m_diagonal(0, 4)
+            OCTAGON.is_m_diagonal(Diagonal(0, 4))
 
     def test_all_diagonals_pentagon(self):
         assert len(PENTAGON.all_diagonals()) == 5
@@ -158,21 +159,53 @@ class TestCrosses:
 
 class TestInitialFan:
     def test_pentagon(self):
-        assert pentagon_fan().diagonals == (Diagonal(1, 3), Diagonal(1, 4))
+        assert pentagon_fan().arcs == (Diagonal(1, 3), Diagonal(1, 4))
 
     def test_octagon(self):
-        assert octagon_fan().diagonals == (Diagonal(1, 4), Diagonal(1, 6))
+        assert octagon_fan().arcs == (Diagonal(1, 4), Diagonal(1, 6))
 
     def test_rank_zero(self):
-        assert initial_fan(DiskConfig(2, 4)).diagonals == ()
+        assert initial_fan(DiskConfig(2, 4)).arcs == ()
 
     def test_always_valid(self):
         for m, r in itertools.product((1, 2, 3), range(5)):
             assert initial_fan(DiskConfig(m, (r + 1) * m + 2)).is_valid()
 
-    def test_arcs_are_the_diagonals(self):
-        fan = octagon_fan()
-        assert fan.arcs is fan.diagonals
+    def test_arcs_is_the_only_name(self):
+        assert not hasattr(octagon_fan(), "diagonals")
+
+
+def recursive_split(cycle, chords):
+    """The region split as first written, one recursion per chord: the
+    reference for the order of the regions."""
+    chords = list(chords)
+    if not chords:
+        return [list(cycle)]
+    a, b = sorted(chords[0], key=list(cycle).index)
+    ia, ib = cycle.index(a), cycle.index(b)
+    side1 = list(cycle[ia : ib + 1])
+    side2 = list(cycle[ib:]) + list(cycle[: ia + 1])
+    in1 = [ch for ch in chords[1:] if ch <= set(side1)]
+    in2 = [ch for ch in chords[1:] if not ch <= set(side1)]
+    return recursive_split(side1, in1) + recursive_split(side2, in2)
+
+
+class TestSplitRegions:
+    @pytest.mark.parametrize("cfg", [DiskConfig(1, 8), DiskConfig(2, 12),
+                                     DiskConfig(3, 14)], ids=repr)
+    def test_region_order_of_the_recursive_split(self, cfg):
+        _, angulations = enumerate_angulations(cfg, collect=True)
+        cycle = list(range(1, cfg.sides + 1))
+        for ang in angulations:
+            chords = [frozenset((d.a, d.b)) for d in ang.arcs]
+            for order in (chords, chords[::-1]):
+                assert split_regions(cycle, order) == recursive_split(cycle, order)
+
+    def test_no_recursion_limit(self):
+        # one chord more than the interpreter's default recursion limit
+        chords = [frozenset((1, k)) for k in range(3, 1004)]
+        regions = split_regions(list(range(1, 1005)), chords)
+        assert sorted(map(sorted, regions)) == [[1, k, k + 1] for k in range(2, 1004)]
 
 
 class TestFaces:
@@ -212,7 +245,7 @@ class TestFaces:
         tally = Counter(
             side for f in ang.faces() for side in f.sides
         )
-        for d in ang.diagonals:
+        for d in ang.arcs:
             assert tally[d] == 2
         edges = [s for s in tally if not isinstance(s, Diagonal)]
         assert all(tally[e] == 1 for e in edges)
@@ -234,7 +267,7 @@ class TestTwistFlip:
     def test_twist_cycle_length(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11)):
             ang = initial_fan(cfg)
-            d = ang.diagonals[0]
+            d = ang.arcs[0]
             cur_ang, cur = ang, d
             for _ in range(cfg.m + 1):
                 new = cur_ang.twist(cur)
@@ -254,9 +287,9 @@ class TestTwistFlip:
 
     def test_flip_preserves_cardinality_and_validity(self):
         ang = octagon_fan()
-        for d in ang.diagonals:
+        for d in ang.arcs:
             flipped = ang.flip(d)
-            assert len(flipped.diagonals) == OCTAGON.rank
+            assert len(flipped.arcs) == OCTAGON.rank
             assert flipped.is_valid()
 
     def test_flip_inverse_via_counterclockwise_twist(self):
@@ -306,13 +339,13 @@ class TestTwistTable:
     def test_twist_is_the_region_twist_on_every_angulation(self, cfg):
         _, found = enumerate_angulations(cfg, collect=True)
         for ang in found:
-            for d in ang.diagonals:
+            for d in ang.arcs:
                 assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
     def test_twist_is_the_region_twist_along_walks(self, cfg):
         for ang, _ in random_walk(cfg, 40, 7):
-            for d in ang.diagonals:
+            for d in ang.arcs:
                 assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS + SMALL_DISKS[-2:], ids=repr)
@@ -320,15 +353,15 @@ class TestTwistTable:
         for step, (ang, _) in enumerate(random_walk(cfg, 40, 7)):
             # every walked angulation but the first is a flip result
             assert ("_sides" in vars(ang)) == (step > 0)
-            fresh = DiskAngulation(cfg, ang.diagonals)
+            fresh = DiskAngulation(cfg, ang.arcs)
             assert table_cells(ang) == table_cells(fresh)
             assert cells(ang.faces()) == cells(fresh.faces())
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
     def test_one_flip_per_arc(self, cfg):
         for ang, _ in random_walk(cfg, 20, 7):
-            fresh = DiskAngulation(cfg, ang.diagonals)
-            for d in ang.diagonals:
+            fresh = DiskAngulation(cfg, ang.arcs)
+            for d in ang.arcs:
                 assert ang.flip(d) is ang.flip(d)
                 assert ang.flip(d) == fresh.flip(d)
                 assert cells(ang.flip(d).faces()) == cells(fresh.flip(d).faces())
@@ -336,7 +369,7 @@ class TestTwistTable:
     def test_quiver_read_once(self):
         ang = octagon_fan()
         assert ang.quiver_of() is ang.quiver_of()
-        assert ang.quiver_of(list(ang.diagonals)) == ang.quiver_of()
+        assert ang.quiver_of(list(ang.arcs)) == ang.quiver_of()
 
 
 class TestCompletions:
@@ -365,8 +398,8 @@ class TestCompletions:
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11)):
             _, angulations = enumerate_angulations(cfg, collect=True)
             for ang in angulations:
-                for d in ang.diagonals:
-                    rest = [e for e in ang.diagonals if e != d]
+                for d in ang.arcs:
+                    rest = [e for e in ang.arcs if e != d]
                     assert ang.twist(d) == completions(cfg, rest, d)[0]
 
     def test_matches_brute_force_scan(self):
@@ -374,8 +407,8 @@ class TestCompletions:
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11), DiskConfig(2, 10)):
             _, angulations = enumerate_angulations(cfg, collect=True)
             for ang in angulations:
-                for d in ang.diagonals:
-                    rest = [e for e in ang.diagonals if e != d]
+                for d in ang.arcs:
+                    rest = [e for e in ang.arcs if e != d]
                     out = completions(cfg, rest, d)
                     scan = {
                         c
@@ -433,12 +466,12 @@ class TestComplete:
 
     def test_full_angulation_unchanged(self):
         ang = octagon_fan()
-        assert complete(OCTAGON, ang.diagonals) == ang
+        assert complete(OCTAGON, ang.arcs) == ang
 
     def test_partial_octagon(self):
         out = complete(OCTAGON, [Diagonal(2, 5)])
         assert out == DiskAngulation(OCTAGON, [Diagonal(1, 6), Diagonal(2, 5)])
-        assert Diagonal(2, 5) in out.diagonals and out.is_valid()
+        assert Diagonal(2, 5) in out.arcs and out.is_valid()
 
     def test_crossing_input_rejected(self):
         with pytest.raises(InvalidAngulation):
@@ -457,7 +490,7 @@ class TestEars:
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 14)):
             _, angulations = enumerate_angulations(cfg, collect=True)
             for ang in angulations:
-                assert any(cfg.is_m_ear(d) for d in ang.diagonals)
+                assert any(cfg.is_m_ear(d) for d in ang.arcs)
 
 
 class TestCutAlong:
@@ -486,7 +519,7 @@ class TestCutAlong:
         assert len(set(placed.values())) == len(others)
         for e, (piece, local) in placed.items():
             pc = cut.piece1 if piece == 1 else cut.piece2
-            assert pc.is_m_diagonal(local.a, local.b)
+            assert pc.is_m_diagonal(local)
             assert cut.pull_back(piece, local) == e
         # surjective onto the pieces' diagonals
         images1 = {loc for p, loc in placed.values() if p == 1}
@@ -554,7 +587,7 @@ class TestAgainstReferences:
         count, found = enumerate_angulations(cfg, collect=True)
         reference = reference_enumerate(cfg)
         assert count == len(reference) == enumerate_angulations(cfg)[0]
-        assert [a.diagonals for a in found] == [a.diagonals for a in reference]
+        assert [a.arcs for a in found] == [a.arcs for a in reference]
         assert maximal_set_sizes(cfg) == reference_maximal_set_sizes(cfg)
 
     # the reference BFS takes seconds on the 7,084 angulations of m=3, S=20
@@ -562,7 +595,7 @@ class TestAgainstReferences:
     def test_flip_graph(self, cfg):
         graph = flip_graph(cfg)
         order, edges = reference_flip_graph(cfg)
-        assert [a.diagonals for a in graph.nodes] == [a.diagonals for a in order]
+        assert [a.arcs for a in graph.nodes] == [a.arcs for a in order]
         assert graph.edges == edges
 
 

@@ -138,7 +138,7 @@ class TestWalkCaches:
     @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
     def test_flipped_disk_carries_the_faces_of_a_fresh_one(self, cfg):
         for ang, arc in random_walk(cfg, 30, 7):
-            fresh = DiskAngulation(cfg, ang.diagonals)
+            fresh = DiskAngulation(cfg, ang.arcs)
             assert cells(ang.faces()) == cells(fresh.faces())
             assert ang.quiver_of() == fresh.quiver_of()
             assert ang.flip(arc) == fresh.flip(arc)
@@ -322,7 +322,7 @@ class TestFlipValidity:
             region = view.disk.merged_region(view.diagonal[x])
             bad = next(d for d in map(Diagonal, region, region[2:])
                        if isinstance(view.cut.from_disk(d), annulus.Bridge))
-            assert not view.cut.disk.is_m_diagonal(bad.a, bad.b)
+            assert not view.cut.disk.is_m_diagonal(bad)
         monkeypatch.setattr(DiskAngulation, "twist", lambda self, d: bad)
         flipped = ang.flip(x)
         assert not flipped.is_valid()
@@ -488,7 +488,7 @@ class TestAnnulusMaximal:
         # the rule is the m-diagonal test of the cut disk; accepting every
         # compatible arc leaves maximal sets that are no (m+2)-angulation,
         # in every trial
-        monkeypatch.setattr(DiskConfig, "is_m_diagonal", lambda self, a, b: True)
+        monkeypatch.setattr(DiskConfig, "is_m_diagonal", lambda self, d: True)
         report = check_annulus_maximal(cfg, trials=15, seed=5)
         assert report.cases == 30 and len(report.failures) == 30
 
