@@ -223,25 +223,14 @@ class AnnulusAngulation(Angulation):
         return tuple(found) or self._cell_problems()
 
     def _cell_problems(self) -> tuple[str, ...]:
-        """The arcs of a noncrossing set of p+q arcs with a bridge that are
-        not m-diagonals of the cut along its least bridge.  The cut disk
-        has N = m(p+q)+2 sides, N = 2 (mod m), and its p+q cells all have
-        size 2 (mod m) iff every chord is an m-diagonal (the argument is in
-        ``verify.check_annulus_maximal``); as the sizes add up to (m+2)(p+q),
-        that makes every cell an (m+2)-gon.  For m = 1 the p+q-1 diagonals
-        triangulate the cut disk whatever they are, so no cut is made.  A
-        set without such arcs keeps the cut as its first view."""
+        """The problems of ``_cell_rule``, read once the arcs are
+        noncrossing, p+q in number and hold a bridge; a set without them
+        keeps the cut as its first view."""
         if self.config.m == 1:
             return ()
-        ref = self.bridges()[0]
-        cut = BridgeCut(self.config, ref)
-        diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
-        bad = tuple(
-            f"{a} is not an m-diagonal of the cut along {ref}"
-            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
-        )
+        cut, diagonal, bad = _cell_rule(self.config, self.arcs)
         if not bad:
-            self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
+            self._views[cut.bridge] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
         return bad
 
     def violations(self) -> list[str]:
@@ -254,13 +243,15 @@ class AnnulusAngulation(Angulation):
         shift = -min(b.winding for b in self.bridges())
         if shift == 0:
             return self
-        out = AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
+        moved = {a: cfg.rebase(a, shift) for a in self.arcs}
+        out = AnnulusAngulation(cfg, moved.values())
         # the deck shift moves a cut bridge and every arc alike, so each
         # view carries over with the same disk angulation, and validity
-        # with them; the messages of an invalid one name its arcs
+        # with them; the messages of an invalid one name its arcs.  The
+        # views key the result's own arc objects, so lookups hit at once
         for ref, view in self._views.items():
-            diagonal = {cfg.rebase(a, shift): e for a, e in view.diagonal.items()}
-            cut = BridgeCut(cfg, cfg.rebase(ref, shift))
+            diagonal = {moved[a]: e for a, e in view.diagonal.items()}
+            cut = BridgeCut(cfg, moved[ref])
             out._views[cut.bridge] = CutView(cut, diagonal, view.disk)
         if not self._problems:
             out.__dict__["_problems"] = ()
@@ -303,6 +294,19 @@ class AnnulusAngulation(Angulation):
         if ref not in self.bridges():
             raise NotInAngulation(f"{ref} is not a bridge of the angulation")
         return list(self._view(ref).faces)
+
+    def _require_arc(self, x: ArcClass):
+        """Raise NotInAngulation unless x is one of the arcs: in O(1) from
+        a cut view the angulation holds already (its diagonal map holds
+        every arc but the cut bridge), by one scan of the arcs otherwise."""
+        views = self.__dict__.get("_views")
+        if views:
+            view = next(iter(views.values()))
+            found = x in view.diagonal or x == view.cut.bridge
+        else:
+            found = x in self.arcs
+        if not found:
+            raise NotInAngulation(f"{x} not in angulation")
 
     def _twisted(self, x: ArcClass) -> tuple["CutView", Diagonal, Diagonal]:
         """The view a flip at x works in, along a bridge other than x and
@@ -350,21 +354,23 @@ class AnnulusAngulation(Angulation):
     def can_flip(self, x: ArcClass) -> bool:
         """False iff flip(x) raises UnsupportedFlip, decided without
         building the flipped angulation."""
-        self._require_arc(x)
         # In a cut disk of S = m(p+q)+2 sides, the loop arcs are the
         # diagonals (1, mp+1) and (mp+2, S), of lengths mp and mq.  A twist
         # is an m-diagonal, of length 1 (mod m); for m >= 2 neither length
         # is, so no flip leaves the model and no cut is needed to say so.
         if self.config.m >= 2:
+            self._require_arc(x)
             return True
         view, _, new_diagonal = self._twisted(x)
         return not view.cut.encloses(new_diagonal)
 
     def completions(self, x: ArcClass) -> list[ArcClass]:
         """The m+1 arcs completing the others, found afresh by the module
-        function ``completions``, not from a cut view."""
+        function ``_completions``, not from a cut view; the others need no
+        input check, as this angulation is valid."""
         self._require_arc(x)
-        return completions(self.config, [a for a in self.arcs if a != x], x)
+        self._require_valid()
+        return _completions(self.config, [a for a in self.arcs if a != x], x)
 
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per arc (canonical order).
@@ -437,18 +443,60 @@ def completions(
     cfg: AnnulusConfig, partial: Iterable[ArcClass], removed: ArcClass
 ) -> list[ArcClass]:
     """The m+1 arcs completing an almost-complete angulation, in clockwise
-    cycle order starting after ``removed`` and ending with it."""
+    cycle order starting after ``removed`` and ending with it.
+
+    The input is checked once, in annulus terms: the shared arc-set check,
+    then the cell rule, whose message is the one ``violations()`` gives.
+    """
     partial = almost_complete(cfg, partial, removed, arc_sort_key)
-    # the least bridge, as partial is in canonical order
+    # without a bridge in partial, _completions names that fault
+    if cfg.m > 1 and any(isinstance(a, Bridge) for a in partial):
+        bad = _cell_rule(cfg, sorted((removed, *partial), key=arc_sort_key))[2]
+        if bad:
+            raise InvalidAngulation(bad[0])
+    return _completions(cfg, partial, removed)
+
+
+def _completions(
+    cfg: AnnulusConfig, partial: Sequence[ArcClass], removed: ArcClass
+) -> list[ArcClass]:
+    """``completions`` without the input check: ``partial``, in canonical
+    order, and ``removed`` must form an angulation.  The partial set is cut
+    along its least bridge and split afresh by the disk's ``_completions``."""
     ref = next((b for b in partial if isinstance(b, Bridge)), None)
     if ref is None:
         raise InvalidAngulation("an almost-complete angulation keeps a bridge")
     cut = BridgeCut(cfg, ref)
-    from .disk import completions as disk_completions
+    from .disk import _completions as disk_completions
 
     disk_partial = [cut.to_disk(a) for a in partial if a != ref]
     return [cut.from_disk(d)
             for d in disk_completions(cut.disk, disk_partial, cut.to_disk(removed))]
+
+
+def _cell_rule(
+    cfg: AnnulusConfig, arcs: Sequence[ArcClass]
+) -> tuple[BridgeCut, dict[ArcClass, Diagonal], tuple[str, ...]]:
+    """The cut along the least bridge of ``arcs``, the disk diagonal of
+    every other arc, and the cell-rule problems: the arcs whose diagonal is
+    no m-diagonal of that cut.
+
+    ``arcs`` is a noncrossing set of p+q arcs with a bridge, in canonical
+    order, and m >= 2.  The cut disk has N = m(p+q)+2 sides,
+    N = 2 (mod m), and its p+q cells all have size 2 (mod m) iff every
+    chord is an m-diagonal (the argument is in
+    ``verify.check_annulus_maximal``); as the sizes add up to (m+2)(p+q),
+    that makes every cell an (m+2)-gon.  For m = 1 the p+q-1 diagonals
+    triangulate the cut disk whatever they are, so the rule is not read.
+    """
+    ref = next(a for a in arcs if isinstance(a, Bridge))
+    cut = BridgeCut(cfg, ref)
+    diagonal = {a: cut.to_disk(a) for a in arcs if a != ref}
+    bad = tuple(
+        f"{a} is not an m-diagonal of the cut along {ref}"
+        for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
+    )
+    return cut, diagonal, bad
 
 
 class BridgeCut:

@@ -157,9 +157,10 @@ class Angulation:
     the new arc alone, in O(r).
 
     A model class defines ``_read_quiver`` (its quiver in a given arc
-    order) and ``violations``, ``twist``, ``flip``, ``completions``,
-    ``faces`` and ``quiver_of`` in its own namespace, where the span
-    tracer of ``perfbench`` finds them.
+    order) and ``_require_arc`` (the ``NotInAngulation`` check, in O(1)
+    from what the angulation holds), and ``violations``, ``twist``,
+    ``flip``, ``completions``, ``faces`` and ``quiver_of`` in its own
+    namespace, where the span tracer of ``perfbench`` finds them.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
@@ -219,10 +220,6 @@ class Angulation:
     def _require_valid(self):
         if self._problems:
             raise InvalidAngulation("; ".join(self._problems))
-
-    def _require_arc(self, x):
-        if x not in self.arcs:
-            raise NotInAngulation(f"{x} not in angulation")
 
     def can_flip(self, x) -> bool:
         """False iff flip(x) would leave the model; a disk flip never does."""
@@ -315,6 +312,19 @@ class DiskAngulation(Angulation):
             _enter_sides(table, face)
         return table
 
+    def _require_arc(self, d: Diagonal):
+        """Raise NotInAngulation unless d is one of the diagonals: in O(1)
+        from the twist table when the angulation holds one already (its
+        keys run both ways along exactly the diagonals), by one scan of
+        the diagonals otherwise."""
+        table = self.__dict__.get("_sides")
+        if table is None:
+            found = d in self.arcs
+        else:
+            found = type(d) is Diagonal and (d.b, d.a) in table
+        if not found:
+            raise NotInAngulation(f"{d} not in angulation")
+
     def _around(self, d: Diagonal) -> tuple[tuple[Face, int], tuple[Face, int]]:
         """The entries of the faces inside and outside d."""
         self._require_arc(d)
@@ -375,9 +385,11 @@ class DiskAngulation(Angulation):
 
     def completions(self, d: Diagonal) -> list[Diagonal]:
         """The m+1 diagonals completing the others, found afresh by the
-        module function ``completions``, not from the faces."""
+        module function ``_completions``, not from the faces; the others
+        need no input check, as this angulation is valid."""
         self._require_arc(d)
-        return completions(self.config, [e for e in self.arcs if e != d], d)
+        self._require_valid()
+        return _completions(self.config, [e for e in self.arcs if e != d], d)
 
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal (canonical order)."""
@@ -434,7 +446,14 @@ def completions(
     clockwise cycle starting from the removed diagonal's successor and ends
     with the removed diagonal itself.
     """
-    partial = almost_complete(cfg, partial, removed)
+    return _completions(cfg, almost_complete(cfg, partial, removed), removed)
+
+
+def _completions(
+    cfg: DiskConfig, partial: Sequence[Diagonal], removed: Diagonal
+) -> list[Diagonal]:
+    """``completions`` without the input check: ``partial`` and ``removed``
+    must form an angulation.  The partial set is split afresh."""
     cycle = list(range(1, cfg.sides + 1))
     chords = [frozenset((d.a, d.b)) for d in partial]
     big = [r for r in split_regions(cycle, chords) if len(r) == 2 * cfg.m + 2]

@@ -8,7 +8,6 @@ here, so both geometric models use one orientation convention.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -74,8 +73,12 @@ def quiver_from_faces(
     d -> e gets the color counting the face's sides strictly between d and
     e clockwise from d; under this orientation flips of angulations
     commute with colored quiver mutation.
+
+    The faces must be (m+2)-gons and ``vertex`` must map into 0..n-1, as
+    they do for a valid angulation: then every color lies in 0..m and the
+    quiver is built without a range check.
     """
-    arrows = Counter()
+    arrows = {}
     for face in faces:
         spots = [
             (pos, vertex[side])
@@ -87,5 +90,6 @@ def quiver_from_faces(
             for pj, vj in spots:
                 if vi == vj:
                     continue
-                arrows[(vi, vj, (pj - pi - 1) % size)] += 1
-    return ColoredQuiver(m, n, arrows)
+                key = (vi, vj, (pj - pi - 1) % size)
+                arrows[key] = arrows.get(key, 0) + 1
+    return ColoredQuiver._unchecked(m, n, arrows)

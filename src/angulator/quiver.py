@@ -63,10 +63,22 @@ def _as_arrow_dict(arrows):
     return out
 
 
-class ColoredQuiver:
-    """Immutable colored quiver on vertices 0..n-1 with colors 0..m."""
+def _fill(quiver, m, n, mult):
+    object.__setattr__(quiver, "m", m)
+    object.__setattr__(quiver, "n", n)
+    object.__setattr__(quiver, "_mult", mult)
 
-    __slots__ = ("m", "n", "_mult", "_key")
+
+class ColoredQuiver:
+    """Immutable colored quiver on vertices 0..n-1 with colors 0..m.
+
+    The public constructor and ``from_json_dict`` check their input; the
+    results of ``mutate``, ``mutate_procedural`` and
+    ``faces.quiver_from_faces`` are built by ``_unchecked``, as they are in
+    range and hold no zero multiplicity by construction.
+    """
+
+    __slots__ = ("m", "n", "_mult")
 
     def __init__(self, m: int, n: int, arrows: Mapping | Iterable = ()):
         if m < 1:
@@ -79,19 +91,29 @@ class ColoredQuiver:
                 raise VertexRangeError(f"arrow ({i}, {j}) outside 0..{n - 1}")
             if not (0 <= c <= m):
                 raise ValueError(f"color {c} outside 0..{m}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_mult", mult)
-        object.__setattr__(self, "_key", (m, n, tuple(sorted(mult.items()))))
+        _fill(self, m, n, mult)
+
+    @classmethod
+    def _unchecked(cls, m: int, n: int, mult: dict) -> "ColoredQuiver":
+        """The quiver of ``mult``, taken over as it is: every key (i, j, c)
+        must lie in 0..n-1 x 0..n-1 x 0..m and every value be positive."""
+        out = object.__new__(cls)
+        _fill(out, m, n, mult)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("ColoredQuiver is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, ColoredQuiver) and self._key == other._key
+        return (
+            isinstance(other, ColoredQuiver)
+            and self.m == other.m
+            and self.n == other.n
+            and self._mult == other._mult
+        )
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.m, self.n, frozenset(self._mult.items())))
 
     def __repr__(self):
         arrows = ", ".join(
@@ -110,26 +132,34 @@ class ColoredQuiver:
     # -- axioms ----------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """All axiom violations; an empty list means the quiver is valid."""
-        out = []
-        for (i, j, c), v in sorted(self._mult.items()):
-            if i == j and v:
-                out.append(Violation("loop", (i, j, c)))
-        pair_colors = {}
-        for (i, j, c), v in self._mult.items():
-            if i != j and v:
-                pair_colors.setdefault((i, j), []).append(c)
-        for (i, j), colors in sorted(pair_colors.items()):
-            if len(colors) > 1:
-                out.append(Violation("monochromaticity", (i, j)))
-        seen = set()
-        for i, j, c in sorted(self._mult):
-            if i == j or (i, j, c) in seen:
+        """All axiom violations; an empty list means the quiver is valid.
+
+        The loops come first, then the pairs with more than one colour,
+        then the symmetry failures, each group in ascending order of its
+        site.  A symmetry failure is reported once per mirror pair
+        (i, j, c) / (j, i, m - c), at the lesser of the two that exist.
+        """
+        m = self.m
+        mult = self._mult
+        loops, symmetry = [], []
+        colour = {}  # (i, j) -> a colour it carries
+        mixed = set()
+        for key, v in mult.items():
+            i, j, c = key
+            if i == j:
+                loops.append(key)
                 continue
-            seen.add((j, i, (self.m - c) % (self.m + 1)))
-            if self.mult(i, j, c) != self.mult(j, i, self.m - c):
-                out.append(Violation("symmetry", (i, j, c)))
-        return out
+            if colour.setdefault((i, j), c) != c:
+                mixed.add((i, j))
+            mirror = (j, i, m - c)
+            w = mult.get(mirror)
+            if w != v and (w is None or key < mirror):
+                symmetry.append(key)
+        return (
+            [Violation("loop", site) for site in sorted(loops)]
+            + [Violation("monochromaticity", site) for site in sorted(mixed)]
+            + [Violation("symmetry", site) for site in sorted(symmetry)]
+        )
 
     def is_valid(self) -> bool:
         return not self.validate()
@@ -196,7 +226,7 @@ class ColoredQuiver:
                     )
                     if v > 0:
                         new[(i, j, c)] = v
-        return ColoredQuiver(self.m, self.n, new)
+        return ColoredQuiver._unchecked(self.m, self.n, new)
 
     def mutate_inverse(self, k: int) -> "ColoredQuiver":
         """Inverse mutation, realized as mutate applied m times at k."""
@@ -259,7 +289,7 @@ class ColoredQuiver:
                 elif i == k:
                     c = (c - 1) % mm
                 new[(i, j, c)] = new.get((i, j, c), 0) + v
-        return ColoredQuiver(self.m, self.n, new)
+        return ColoredQuiver._unchecked(self.m, self.n, new)
 
     # -- derived quivers and export ---------------------------------------
 
@@ -282,9 +312,13 @@ class ColoredQuiver:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ColoredQuiver":
+        """The quiver of a ``to_json_dict`` record, with every check of the
+        constructor: the multiplicities of repeated arrows are added up
+        first, then checked."""
         arrows = {}
         for a in data["arrows"]:
-            key = tuple(json_int(a[f], f) for f in ("from", "to", "color"))
+            key = (json_int(a["from"], "from"), json_int(a["to"], "to"),
+                   json_int(a["color"], "color"))
             arrows[key] = arrows.get(key, 0) + json_int(a.get("mult", 1), "mult")
         return cls(json_int(data["m"], "m"), json_int(data["vertices"], "vertices"),
                    arrows)

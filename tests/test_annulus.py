@@ -342,6 +342,17 @@ class TestCompletions:
         with pytest.raises(InvalidAngulation, match="still present"):
             completions(C43, arcs[1:], arcs[1])
 
+    def test_cell_rule_named_in_annulus_terms(self):
+        # noncrossing m-diagonals whose cut leaves a cell of the wrong size:
+        # the message is the one violations() gives, not a cut-disk diagonal
+        cfg = AnnulusConfig(3, 2, 1)
+        partial, removed = [Bridge(1, 1, 0), Bridge(3, 1, 1)], Bridge(1, 1, 1)
+        message = "B(O3,I1,1) is not an m-diagonal of the cut along B(O1,I1,0)"
+        assert AnnulusAngulation(cfg, partial + [removed]).violations() == [message]
+        with pytest.raises(InvalidAngulation) as exc:
+            completions(cfg, partial, removed)
+        assert str(exc.value) == message
+
 
 class TestQuiverOf:
     def test_kronecker(self):

@@ -4,7 +4,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from angulator.quiver import ColoredQuiver, PlainQuiver, VertexRangeError
+from angulator.quiver import (
+    ColoredQuiver,
+    PlainQuiver,
+    VertexRangeError,
+    Violation,
+    json_int,
+)
 
 
 def minimal_pair(m=2):
@@ -72,6 +78,130 @@ def dense_mutate(q, k):
                     if v > 0:
                         new[(i, j, c)] = v
     return ColoredQuiver(q.m, q.n, new)
+
+
+def reference_validate(q):
+    """The three sorted passes the one-pass ``validate`` must match."""
+    out = []
+    for (i, j, c), v in sorted(q.arrows()):
+        if i == j and v:
+            out.append(Violation("loop", (i, j, c)))
+    pair_colors = {}
+    for (i, j, c), v in q.arrows():
+        if i != j and v:
+            pair_colors.setdefault((i, j), []).append(c)
+    for (i, j), colors in sorted(pair_colors.items()):
+        if len(colors) > 1:
+            out.append(Violation("monochromaticity", (i, j)))
+    seen = set()
+    for (i, j, c), _ in sorted(q.arrows()):
+        if i == j or (i, j, c) in seen:
+            continue
+        seen.add((j, i, (q.m - c) % (q.m + 1)))
+        if q.mult(i, j, c) != q.mult(j, i, q.m - c):
+            out.append(Violation("symmetry", (i, j, c)))
+    return out
+
+
+def reference_from_json_dict(data):
+    """The reader the one-pass ``from_json_dict`` must match, exception for
+    exception."""
+    arrows = {}
+    for a in data["arrows"]:
+        key = tuple(json_int(a[f], f) for f in ("from", "to", "color"))
+        arrows[key] = arrows.get(key, 0) + json_int(a.get("mult", 1), "mult")
+    return ColoredQuiver(json_int(data["m"], "m"), json_int(data["vertices"], "vertices"),
+                         arrows)
+
+
+# values json_int refuses (floats, booleans) or the constructor does
+# (negative, out of range), drawn in place of a small integer now and then
+odd_values = st.sampled_from([-1, 5, 9, 0.0, 1.0, 2.5, True, False])
+
+
+@st.composite
+def quiver_records(draw):
+    """``to_json_dict``-like records: repeated arrows, arrows out of range
+    and, now and then, a field missing, of the wrong type or negative."""
+
+    def value():
+        return draw(odd_values) if draw(st.integers(0, 19)) == 0 else draw(st.integers(0, 3))
+
+    def drop_one(record):
+        if draw(st.integers(0, 19)) == 0:
+            del record[draw(st.sampled_from(sorted(record)))]
+        return record
+
+    arrows = []
+    for _ in range(draw(st.integers(0, 6))):
+        arrow = {f: value() for f in ("from", "to", "color")}
+        if draw(st.booleans()):
+            arrow["mult"] = value()
+        arrows.append(drop_one(arrow))
+    return drop_one({"m": value(), "vertices": value(), "arrows": arrows})
+
+
+def outcome(read, record):
+    try:
+        q = read(record)
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return q, q.validate()
+
+
+def assert_as_if_checked(q):
+    """``q`` equals and hashes as its arrows read back through the public
+    constructor, and holds no zero multiplicity."""
+    fresh = ColoredQuiver(q.m, q.n, dict(q.arrows()))
+    assert q == fresh and hash(q) == hash(fresh)
+    assert all(v > 0 for _, v in q.arrows())
+
+
+class TestBoundaryChecks:
+    @given(any_quivers(max_m=40))
+    @settings(max_examples=300)
+    def test_validate_matches_the_reference(self, q):
+        assert q.validate() == reference_validate(q)
+
+    @given(quiver_records())
+    @settings(max_examples=500)
+    def test_from_json_dict_matches_the_reference(self, record):
+        assert outcome(ColoredQuiver.from_json_dict, record) == \
+            outcome(reference_from_json_dict, record)
+
+    def test_from_json_dict_adds_repeated_arrows_before_checking(self):
+        arrows = [{"from": 0, "to": 1, "color": 0, "mult": 2},
+                  {"from": 0, "to": 1, "color": 0, "mult": -1},
+                  {"from": 0, "to": 9, "color": 0, "mult": 0}]
+        q = ColoredQuiver.from_json_dict({"m": 1, "vertices": 2, "arrows": arrows})
+        assert dict(q.arrows()) == {(0, 1, 0): 1}
+
+    @given(any_quivers(max_m=40), st.integers(0, 4))
+    @settings(max_examples=200)
+    def test_mutation_results_as_if_checked(self, q, k):
+        assert_as_if_checked(q.mutate(k % q.n))
+        assert_as_if_checked(q.mutate_procedural(k % q.n))
+        assert_as_if_checked(q.mutate_inverse(k % q.n))
+
+    def test_face_quivers_as_if_checked(self):
+        from angulator.annulus import AnnulusConfig
+        from angulator.disk import DiskConfig
+        from angulator.verify import random_walk
+
+        for cfg in (DiskConfig(1, 9), DiskConfig(3, 17), AnnulusConfig(1, 2, 2),
+                    AnnulusConfig(2, 4, 3)):
+            for ang, _ in random_walk(cfg, 8, 2):
+                q = ang.quiver_of()
+                assert_as_if_checked(q)
+                assert_as_if_checked(ang.quiver_of(ang.arcs[::-1]))
+
+    def test_equality_reads_m_n_and_arrows(self):
+        q = minimal_pair(2)
+        assert q != minimal_pair(3)
+        assert ColoredQuiver(2, 2) != ColoredQuiver(2, 3)
+        assert ColoredQuiver(1, 2) != ColoredQuiver(2, 2)
+        assert q != ColoredQuiver(2, 2, {(0, 1, 0): 2, (1, 0, 2): 1})
+        assert q != dict(q.arrows())
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -356,6 +357,29 @@ class TestAngulationInterface:
         with pytest.raises(NotInAngulation):
             ang.completions(Diagonal(2, 5))
 
+    @pytest.mark.parametrize("cfg", [DiskConfig(2, 14), AnnulusConfig(2, 4, 3)], ids=repr)
+    def test_flip_results_find_their_arcs_without_comparing_them(self, cfg, monkeypatch):
+        # a flip result answers membership from its twist table or cut view,
+        # not by comparing the arc with its arcs one by one: a scan makes
+        # r(r-1)/2 comparisons for can_flip over all r arcs
+        calls = {}
+        for cls in (Diagonal, annulus.Bridge, annulus.OuterChord, annulus.InnerChord):
+            monkeypatch.setattr(cls, "__eq__", counted(calls, "eq", cls.__eq__))
+        for ang, _ in list(random_walk(cfg, 6, 3))[1:]:
+            calls.clear()
+            assert all(ang.can_flip(x) for x in ang.arcs)
+            # a lookup compares at most on a hash collision (an outer and an
+            # inner chord of equal start and span), and the annulus compares
+            # its cut view's bridge with itself
+            assert calls.get("eq", 0) <= len(ang.arcs)
+            assert all(ang.can_flip(copy.copy(x)) for x in ang.arcs)
+            foreign = copy.copy(ang.arcs[0])
+            object.__setattr__(foreign, "winding" if hasattr(foreign, "winding") else "b", 99)
+            with pytest.raises(NotInAngulation):
+                ang.can_flip(foreign)
+            with pytest.raises(NotInAngulation):
+                ang.twist(foreign)
+
     def test_disk_rebased_is_itself(self):
         ang = initial_fan(DiskConfig(2, 10))
         assert ang.rebased() is ang
@@ -378,10 +402,11 @@ class TestAngulationInterface:
             ang.extra = 1
 
     def test_flip_cycle_uses_the_module_completions(self, monkeypatch):
+        # the unchecked function the public one calls after its input check
         calls = {}
         for module in (disk, annulus):
-            monkeypatch.setattr(module, "completions",
-                                counted(calls, module.__name__, module.completions))
+            monkeypatch.setattr(module, "_completions",
+                                counted(calls, module.__name__, module._completions))
         cases = list(random_walk(DiskConfig(2, 10), 6, 1))
         assert check_flip_cycle(cases).passed
         assert calls == {"angulator.disk": 6}
@@ -389,6 +414,23 @@ class TestAngulationInterface:
         cases = list(random_walk(AnnulusConfig(2, 2, 1), 5, 1))
         assert check_flip_cycle(cases).passed
         assert calls == {"angulator.annulus": 5, "angulator.disk": 5}
+
+    @pytest.mark.parametrize("cfg", [DiskConfig(2, 10), AnnulusConfig(2, 2, 1),
+                                     AnnulusConfig(1, 4, 3)], ids=repr)
+    def test_public_completions_check_their_input_once(self, cfg, monkeypatch):
+        # the annulus checks in annulus terms: no cut-disk crossing test
+        module = disk if isinstance(cfg, DiskConfig) else annulus
+        calls = {}
+        monkeypatch.setattr(disk, "arc_set_problems",
+                            counted(calls, "check", disk.arc_set_problems))
+        monkeypatch.setattr(disk, "crosses", counted(calls, "disk", disk.crosses))
+        for ang, arc in random_walk(cfg, 5, 1):
+            want = ang.completions(arc)
+            calls.clear()
+            rest = [a for a in ang.arcs if a != arc]
+            assert module.completions(cfg, rest, arc) == want
+            assert calls == ({"check": 1, "disk": len(rest) * (len(rest) + 1) // 2}
+                             if module is disk else {"check": 1})
 
     def test_completions_split_the_partial_set_afresh(self, monkeypatch):
         # and do not read the faces the angulation already holds
