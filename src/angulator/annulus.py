@@ -31,7 +31,6 @@ from .disk import (
     Edge,
     InvalidAngulation,
     NotInAngulation,
-    almost_complete,
     once_per_arc,
 )
 from .faces import Face, quiver_from_faces
@@ -223,39 +222,39 @@ class AnnulusAngulation(Angulation):
         return tuple(found) or self._cell_problems()
 
     def _cell_problems(self) -> tuple[str, ...]:
-        """The problems of ``_cell_rule``, read once the arcs are
-        noncrossing, p+q in number and hold a bridge; a set without them
-        keeps the cut as its first view."""
+        """The cell rule, read once the arcs are noncrossing, p+q in number
+        and hold a bridge: the arcs whose diagonal is no m-diagonal of the
+        cut along the least bridge.  A set without them keeps the cut as
+        its first view.
+
+        The cut disk has N = m(p+q)+2 sides, N = 2 (mod m), and its p+q
+        cells all have size 2 (mod m) iff every chord is an m-diagonal (the
+        argument is in ``verify.check_annulus_maximal``); as the sizes add
+        up to (m+2)(p+q), that makes every cell an (m+2)-gon.  For m = 1
+        the p+q-1 diagonals triangulate the cut disk whatever they are, so
+        the rule is not read.
+        """
         if self.config.m == 1:
             return ()
-        cut, diagonal, bad = _cell_rule(self.config, self.arcs)
+        ref = self.bridges()[0]
+        cut = BridgeCut(self.config, ref)
+        diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
+        bad = tuple(
+            f"{a} is not an m-diagonal of the cut along {ref}"
+            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
+        )
         if not bad:
-            self._views[cut.bridge] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
+            self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
         return bad
 
     def violations(self) -> list[str]:
         return list(self._problems)
 
     def rebased(self) -> "AnnulusAngulation":
-        """Equivalent angulation with minimum bridge winding zero: itself
-        when it is one already, so that what it has cached is kept."""
+        """The equivalent angulation with minimum bridge winding zero."""
         cfg = self.config
         shift = -min(b.winding for b in self.bridges())
-        if shift == 0:
-            return self
-        moved = {a: cfg.rebase(a, shift) for a in self.arcs}
-        out = AnnulusAngulation(cfg, moved.values())
-        # the deck shift moves a cut bridge and every arc alike, so each
-        # view carries over with the same disk angulation, and validity
-        # with them; the messages of an invalid one name its arcs.  The
-        # views key the result's own arc objects, so lookups hit at once
-        for ref, view in self._views.items():
-            diagonal = {moved[a]: e for a, e in view.diagonal.items()}
-            cut = BridgeCut(cfg, moved[ref])
-            out._views[cut.bridge] = CutView(cut, diagonal, view.disk)
-        if not self._problems:
-            out.__dict__["_problems"] = ()
-        return out
+        return AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
 
     @cached_property
     def _views(self) -> dict[Bridge, "CutView"]:
@@ -443,18 +442,11 @@ def completions(
     cfg: AnnulusConfig, partial: Iterable[ArcClass], removed: ArcClass
 ) -> list[ArcClass]:
     """The m+1 arcs completing an almost-complete angulation, in clockwise
-    cycle order starting after ``removed`` and ending with it.
-
-    The input is checked once, in annulus terms: the shared arc-set check,
-    then the cell rule, whose message is the one ``violations()`` gives.
+    cycle order starting after ``removed`` and ending with it.  The input
+    is checked as the angulation it completes, and a fault is named as
+    ``violations()`` names it.
     """
-    partial = almost_complete(cfg, partial, removed, arc_sort_key)
-    # without a bridge in partial, _completions names that fault
-    if cfg.m > 1 and any(isinstance(a, Bridge) for a in partial):
-        bad = _cell_rule(cfg, sorted((removed, *partial), key=arc_sort_key))[2]
-        if bad:
-            raise InvalidAngulation(bad[0])
-    return _completions(cfg, partial, removed)
+    return AnnulusAngulation._completing(cfg, partial, removed)
 
 
 def _completions(
@@ -462,41 +454,15 @@ def _completions(
 ) -> list[ArcClass]:
     """``completions`` without the input check: ``partial``, in canonical
     order, and ``removed`` must form an angulation.  The partial set is cut
-    along its least bridge and split afresh by the disk's ``_completions``."""
-    ref = next((b for b in partial if isinstance(b, Bridge)), None)
-    if ref is None:
-        raise InvalidAngulation("an almost-complete angulation keeps a bridge")
+    along its least bridge (an angulation has two bridges at least) and
+    split afresh by the disk's ``_completions``."""
+    ref = next(b for b in partial if isinstance(b, Bridge))
     cut = BridgeCut(cfg, ref)
     from .disk import _completions as disk_completions
 
     disk_partial = [cut.to_disk(a) for a in partial if a != ref]
     return [cut.from_disk(d)
             for d in disk_completions(cut.disk, disk_partial, cut.to_disk(removed))]
-
-
-def _cell_rule(
-    cfg: AnnulusConfig, arcs: Sequence[ArcClass]
-) -> tuple[BridgeCut, dict[ArcClass, Diagonal], tuple[str, ...]]:
-    """The cut along the least bridge of ``arcs``, the disk diagonal of
-    every other arc, and the cell-rule problems: the arcs whose diagonal is
-    no m-diagonal of that cut.
-
-    ``arcs`` is a noncrossing set of p+q arcs with a bridge, in canonical
-    order, and m >= 2.  The cut disk has N = m(p+q)+2 sides,
-    N = 2 (mod m), and its p+q cells all have size 2 (mod m) iff every
-    chord is an m-diagonal (the argument is in
-    ``verify.check_annulus_maximal``); as the sizes add up to (m+2)(p+q),
-    that makes every cell an (m+2)-gon.  For m = 1 the p+q-1 diagonals
-    triangulate the cut disk whatever they are, so the rule is not read.
-    """
-    ref = next(a for a in arcs if isinstance(a, Bridge))
-    cut = BridgeCut(cfg, ref)
-    diagonal = {a: cut.to_disk(a) for a in arcs if a != ref}
-    bad = tuple(
-        f"{a} is not an m-diagonal of the cut along {ref}"
-        for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
-    )
-    return cut, diagonal, bad
 
 
 class BridgeCut:

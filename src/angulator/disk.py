@@ -123,26 +123,6 @@ def arc_set_problems(config, arcs: Sequence) -> Iterator[str]:
             yield f"{x} crosses {y}"
 
 
-def require_arc_set(config, arcs: Sequence):
-    """Raise InvalidAngulation for the first of ``arc_set_problems``."""
-    problem = next(arc_set_problems(config, arcs), None)
-    if problem:
-        raise InvalidAngulation(problem)
-
-
-def almost_complete(config, partial: Iterable, removed, key=None) -> tuple:
-    """``partial`` in the canonical order ``key``, checked to hold r - 1
-    arcs other than ``removed`` that are, with it, noncrossing
-    m-diagonals; the input check of the module functions ``completions``."""
-    partial = tuple(sorted(set(partial), key=key))
-    if len(partial) != config.rank - 1 or config.rank < 1:
-        raise InvalidAngulation("input is not an almost-complete angulation")
-    if removed in partial:
-        raise InvalidAngulation(f"{removed} is still present")
-    require_arc_set(config, (removed, *partial))
-    return partial
-
-
 class Angulation:
     """What the disk and annulus angulations share: an immutable set of
     arcs of one configuration, in the model's canonical order, checked at
@@ -160,7 +140,10 @@ class Angulation:
     order) and ``_require_arc`` (the ``NotInAngulation`` check, in O(1)
     from what the angulation holds), and ``violations``, ``twist``,
     ``flip``, ``completions``, ``faces`` and ``quiver_of`` in its own
-    namespace, where the span tracer of ``perfbench`` finds them.
+    namespace, where the span tracer of ``perfbench`` finds them.  The
+    module functions ``completions`` check their input as the angulation
+    it completes, through ``_completing``.  A disk has no Dehn twist, so
+    only the annulus has ``rebased()``.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
@@ -221,15 +204,20 @@ class Angulation:
         if self._problems:
             raise InvalidAngulation("; ".join(self._problems))
 
+    @classmethod
+    def _completing(cls, config, partial: Iterable, removed) -> list:
+        """What the module functions ``completions`` return: the
+        completions at ``removed`` of the angulation that ``removed`` and
+        ``partial`` form, whose method ``completions`` checks it in full."""
+        partial = set(partial)
+        if removed in partial:
+            raise InvalidAngulation(f"{removed} is still present")
+        return cls(config, [removed, *partial]).completions(removed)
+
     def can_flip(self, x) -> bool:
         """False iff flip(x) would leave the model; a disk flip never does."""
         self._require_arc(x)
         return True
-
-    def rebased(self) -> "Angulation":
-        """The equivalent angulation in normal form; a disk has no Dehn
-        twist, so it is itself."""
-        return self
 
     @cached_property
     def _flips(self) -> dict:
@@ -444,9 +432,11 @@ def completions(
 
     ``partial`` holds the remaining r-1 diagonals.  The list walks the
     clockwise cycle starting from the removed diagonal's successor and ends
-    with the removed diagonal itself.
+    with the removed diagonal itself.  The input is checked as the
+    angulation it completes, and a fault is named as ``violations()``
+    names it.
     """
-    return _completions(cfg, almost_complete(cfg, partial, removed), removed)
+    return DiskAngulation._completing(cfg, partial, removed)
 
 
 def _completions(
@@ -475,7 +465,9 @@ def complete(cfg: DiskConfig, partial: Iterable[Diagonal]) -> DiskAngulation:
     appended until the rank is reached, so the result is deterministic.
     """
     chosen = sorted(set(partial))
-    require_arc_set(cfg, chosen)
+    problem = next(arc_set_problems(cfg, chosen), None)
+    if problem:
+        raise InvalidAngulation(problem)
     for cand in cfg.all_diagonals():
         if len(chosen) == cfg.rank:
             break

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .quiver import ColoredQuiver
+from .quiver import ColoredQuiver, VertexRangeError
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,19 @@ def quiver_from_faces(
     e clockwise from d; under this orientation flips of angulations
     commute with colored quiver mutation.
 
-    The faces must be (m+2)-gons and ``vertex`` must map into 0..n-1, as
-    they do for a valid angulation: then every color lies in 0..m and the
-    quiver is built without a range check.
+    Before any arrow is read, a face that is not an (m+2)-gon raises
+    ValueError and a ``vertex`` value outside 0..n-1 raises
+    VertexRangeError; then every color lies in 0..m and the quiver is
+    built without a range check.
     """
+    faces = tuple(faces)
+    for face in faces:
+        if len(face.sides) != m + 2:
+            raise ValueError(
+                f"face {face.vertices} has {len(face.sides)} sides, expected {m + 2}")
+    for v in vertex.values():
+        if not 0 <= v < n:
+            raise VertexRangeError(f"vertex {v} outside 0..{n - 1}")
     arrows = {}
     for face in faces:
         spots = [

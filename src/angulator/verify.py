@@ -130,7 +130,9 @@ def random_walk(cfg, steps: int, seed: int):
 
     The arc is drawn among the positions that ``can_flip`` admits: every
     arc, except on annuli with m = 1, where a flip can leave the three-kind
-    arc model.
+    arc model.  Each angulation is the flip result itself, so annulus
+    windings drift; arc order, flips and crossings do not depend on a
+    common winding shift, so the walk draws as it would in normal form.
     """
     rng = random.Random(seed)
     start = disk.initial_fan if isinstance(cfg, DiskConfig) else ann.initial_bridges
@@ -139,7 +141,7 @@ def random_walk(cfg, steps: int, seed: int):
         flippable = [a for a in angulation.arcs if angulation.can_flip(a)]
         arc = flippable[rng.randrange(len(flippable))]
         yield angulation, arc
-        angulation = angulation.flip(arc).rebased()
+        angulation = angulation.flip(arc)
 
 
 def all_disk_cases(cfg: DiskConfig, guard: int = DEFAULT_GUARD):

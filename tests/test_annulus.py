@@ -337,6 +337,17 @@ class TestCompletions:
             completions(AnnulusConfig(2, 2, 2), partial, Bridge(1, 1, 1))
         assert str(exc.value) == "B(O3,I1,1) crosses OC(O1,3)"
 
+    def test_every_fault_named_as_violations_names_it(self):
+        cfg = AnnulusConfig(2, 2, 2)
+        partial = [Bridge(1, 1, 1), Bridge(3, 1, 1), OuterChord(1, 3), OuterChord(2, 2)]
+        removed = Bridge(1, 1, 0)
+        message = ("OC(O2,2) is not an m-diagonal; B(O3,I1,1) crosses OC(O1,3); "
+                   "B(O3,I1,1) crosses OC(O2,2); 5 arcs, expected 4")
+        assert AnnulusAngulation(cfg, partial + [removed]).violations() == message.split("; ")
+        with pytest.raises(InvalidAngulation) as exc:
+            completions(cfg, partial, removed)
+        assert str(exc.value) == message
+
     def test_removed_arc_still_present_rejected(self):
         arcs = initial_bridges(C43).arcs
         with pytest.raises(InvalidAngulation, match="still present"):

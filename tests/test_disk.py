@@ -394,6 +394,20 @@ class TestCompletions:
         with pytest.raises(InvalidAngulation, match=r"\(1,3\) is not an m-diagonal"):
             completions(OCTAGON, [Diagonal(1, 6)], Diagonal(1, 3))
 
+    @pytest.mark.parametrize("partial, removed, message", [
+        ([(1, 3), (2, 5)], (1, 4),
+         "(1,3) is not an m-diagonal; (1,3) crosses (2,5); (1,4) crosses (2,5)"),
+        ([(1, 4), (1, 6), (1, 8)], (4, 7), "(1,6) crosses (4,7); 4 diagonals, expected 3"),
+    ])
+    def test_every_fault_named_as_violations_names_it(self, partial, removed, message):
+        cfg = DiskConfig(2, 10)
+        partial = [Diagonal(*d) for d in partial]
+        removed = Diagonal(*removed)
+        assert DiskAngulation(cfg, partial + [removed]).violations() == message.split("; ")
+        with pytest.raises(InvalidAngulation) as exc:
+            completions(cfg, partial, removed)
+        assert str(exc.value) == message
+
     def test_flip_takes_the_first_completion(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11)):
             _, angulations = enumerate_angulations(cfg, collect=True)

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from angulator.faces import Face, quiver_from_faces
 from angulator.quiver import (
     ColoredQuiver,
     PlainQuiver,
@@ -194,6 +195,20 @@ class TestBoundaryChecks:
                 q = ang.quiver_of()
                 assert_as_if_checked(q)
                 assert_as_if_checked(ang.quiver_of(ang.arcs[::-1]))
+
+    def test_face_quiver_rejects_a_face_that_is_no_m_plus_2_gon(self):
+        # the square would give the colour 2 at m = 1
+        triangle = Face((1, 2, 3), ("x", "e", "y"))
+        square = Face((1, 2, 3, 4), ("x", "e", "f", "y"))
+        with pytest.raises(ValueError, match=r"\(1, 2, 3, 4\) has 4 sides, expected 3"):
+            quiver_from_faces(1, 2, {"x": 0, "y": 1}, [triangle, square])
+
+    def test_face_quiver_rejects_a_vertex_out_of_range(self):
+        triangle = Face((1, 2, 3), ("x", "e", "y"))
+        with pytest.raises(VertexRangeError, match=r"vertex 5 outside 0\.\.1"):
+            quiver_from_faces(1, 2, {"x": 0, "y": 5}, [triangle])
+        with pytest.raises(VertexRangeError, match=r"vertex -1 outside 0\.\.1"):
+            quiver_from_faces(1, 2, {"x": -1, "y": 1}, [triangle])
 
     def test_equality_reads_m_n_and_arrows(self):
         q = minimal_pair(2)

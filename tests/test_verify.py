@@ -103,6 +103,33 @@ class TestWalks:
         for ang, arc in random_walk(AnnulusConfig(1, 2, 1), 40, 0):
             ang.flip(arc)  # must not raise
 
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_walk_draws_as_in_normal_form(self, cfg):
+        # the walk keeps the windings its flips give: it draws the arc of
+        # the same index as a walk rebased at every step, and its
+        # angulations rebase to that walk's
+        drifted = 0
+        for seed in (0, 1):
+            reference = rebasing_walk(cfg, 200, seed)
+            for (ang, arc), (ref, ref_arc) in zip(random_walk(cfg, 200, seed), reference,
+                                                  strict=True):
+                assert ang.arcs.index(arc) == ref.arcs.index(ref_arc)
+                assert ang.rebased() == ref
+                drifted += ang != ref
+        assert drifted
+
+
+def rebasing_walk(cfg, steps, seed):
+    """``random_walk`` on an annulus as it was with a normal form: every
+    step rebased to minimum winding zero."""
+    rng = random.Random(seed)
+    ang = initial_bridges(cfg)
+    for _ in range(steps):
+        flippable = [a for a in ang.arcs if ang.can_flip(a)]
+        arc = flippable[rng.randrange(len(flippable))]
+        yield ang, arc
+        ang = ang.flip(arc).rebased()
+
 
 def flip_outcome(ang, arc):
     try:
@@ -173,7 +200,7 @@ class TestIncrementalWalks:
     def test_inherited_view_flips_like_the_least_bridge_view(self, cfg):
         other_view = 0
         for ang, arc in random_walk(cfg, 25, 1):
-            # the walked object is rebased; the flip result is not
+            # the walked object and the flip result the walk steps to
             for obj in (ang, ang.flip(arc)):
                 for x in obj.arcs:
                     outcome = flip_outcome(obj, x)
@@ -251,7 +278,7 @@ class TestTwist:
     def test_twist_is_the_new_arc_of_the_flip(self, cfg):
         refused = 0
         for ang, arc in random_walk(cfg, 25, 3):
-            # the walked object is rebased; the flip result is not
+            # the walked object and the flip result the walk steps to
             for obj in (ang, ang.flip(arc)):
                 for x in obj.arcs:
                     try:
@@ -379,10 +406,6 @@ class TestAngulationInterface:
                 ang.can_flip(foreign)
             with pytest.raises(NotInAngulation):
                 ang.twist(foreign)
-
-    def test_disk_rebased_is_itself(self):
-        ang = initial_fan(DiskConfig(2, 10))
-        assert ang.rebased() is ang
 
     def test_disk_and_annulus_never_equal(self):
         empty_disk = DiskAngulation(DiskConfig(2, 4), [])
