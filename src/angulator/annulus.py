@@ -160,10 +160,6 @@ class AnnulusConfig:
         return arc
 
 
-def _strictly_inside(v: int, start: int, span: int, length: int) -> bool:
-    return 0 < (v - start) % length < span
-
-
 def bridge_crossings(cfg: AnnulusConfig, x: Bridge, y: Bridge) -> int:
     """Minimal number of interior intersections of two bridges.
 
@@ -182,17 +178,34 @@ def bridge_crossings(cfg: AnnulusConfig, x: Bridge, y: Bridge) -> int:
 
 def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
     """True iff the minimal representatives of the two arcs intersect;
-    an arc never crosses itself."""
-    if isinstance(x, Bridge) and isinstance(y, Bridge):
-        return bridge_crossings(cfg, x, y) > 0
-    if isinstance(x, Bridge):
-        x, y = y, x
+    an arc never crosses itself.
+
+    The hot predicate of the maximal-set and cut suites: each arc's type
+    is read once, and a bridge pair is decided by the integer rule of
+    ``bridge_crossings`` inline.
+    """
+    tx, ty = type(x), type(y)
+    if tx is Bridge:
+        if ty is Bridge:
+            outer_len, inner_len = cfg.m * cfg.p, cfg.m * cfg.q
+            dt = (x.outer - y.outer) * inner_len
+            db = (x.inner - y.inner + (x.winding - y.winding) * inner_len) * outer_len
+            per = outer_len * inner_len
+            # a deck multiple strictly between the two differences
+            if dt < db:
+                return (db - 1) // per > dt // per
+            return (dt - 1) // per > db // per
+        x, y, tx, ty = y, x, ty, tx
     # x is now a chord
-    length = cfg.m * (cfg.p if isinstance(x, OuterChord) else cfg.q)
-    if isinstance(y, Bridge):
-        v = y.outer if isinstance(x, OuterChord) else y.inner
-        return _strictly_inside(v, x.start, x.span, length)
-    if type(x) is not type(y):
+    if tx is OuterChord:
+        length = cfg.m * cfg.p
+        if ty is Bridge:
+            return 0 < (y.outer - x.start) % length < x.span
+    else:
+        length = cfg.m * cfg.q
+        if ty is Bridge:
+            return 0 < (y.inner - x.start) % length < x.span
+    if tx is not ty:
         return False
     # chords hugging one boundary: strict interleaving of cover intervals
     a1, b1 = x.start, x.start + x.span
@@ -253,7 +266,10 @@ class AnnulusAngulation(Angulation):
     def rebased(self) -> "AnnulusAngulation":
         """The equivalent angulation with minimum bridge winding zero."""
         cfg = self.config
-        shift = -min(b.winding for b in self.bridges())
+        bridges = self.bridges()
+        if not bridges:
+            raise InvalidAngulation("no bridge present")
+        shift = -min(b.winding for b in bridges)
         return AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
 
     @cached_property

@@ -113,8 +113,7 @@ class DiskConfig:
 
 def arc_set_problems(config, arcs: Sequence) -> Iterator[str]:
     """The arcs that are not m-diagonals of ``config``, then the crossing
-    pairs, in the order of ``arcs``; lazily, so a caller can stop at the
-    first."""
+    pairs, in the order of ``arcs``."""
     for x in arcs:
         if not config.is_m_diagonal(x):
             yield f"{x} is not an m-diagonal"
@@ -465,9 +464,9 @@ def complete(cfg: DiskConfig, partial: Iterable[Diagonal]) -> DiskAngulation:
     appended until the rank is reached, so the result is deterministic.
     """
     chosen = sorted(set(partial))
-    problem = next(arc_set_problems(cfg, chosen), None)
-    if problem:
-        raise InvalidAngulation(problem)
+    problems = list(arc_set_problems(cfg, chosen))
+    if problems:
+        raise InvalidAngulation("; ".join(problems))
     for cand in cfg.all_diagonals():
         if len(chosen) == cfg.rank:
             break

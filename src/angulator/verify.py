@@ -393,9 +393,11 @@ def check_annulus_maximal(
                     pool.append(kind(s, t))
         pool = [a for a in pool if cfg.is_m_diagonal(a)]
         ids = {a: i for i, a in enumerate(pool)}
-        # crossing[j][i] for a pool arc j chosen in some trial: 0 while
-        # unknown, 1 when arcs i and j are disjoint, 2 when they cross
+        # crossing[j][i] for a pool arc j chosen after the first arc of some
+        # trial: 0 while unknown, 1 when arcs i and j are disjoint, 2 when
+        # they cross
         crossing = {}
+        crosses = ann.crosses
 
         def compatible(i, chosen):
             for j in chosen:
@@ -403,7 +405,7 @@ def check_annulus_maximal(
                 if row is None:
                     row = crossing[j] = bytearray(len(pool))
                 if not row[i]:
-                    row[i] = 1 + ann.crosses(cfg, pool[i], pool[j])
+                    row[i] = 1 + crosses(cfg, pool[i], pool[j])
                 if row[i] == 2:
                     return False
             return True
@@ -412,8 +414,13 @@ def check_annulus_maximal(
             first = ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
                                    rng.randrange(1, cfg.inner_len + 1),
                                    rng.randrange(-1, 2))]
-            chosen = [first]
+            bridge = pool[first]
             order = rng.sample(range(len(pool)), len(pool))
+            # every candidate meets the first bridge: its whole crossing
+            # row in one pass, and the lazy rows for the arcs chosen later
+            blocked = [crosses(cfg, a, bridge) for a in pool]
+            blocked[first] = True
+            later = []
             # The first arc is a bridge and stays chosen: cut along it.
             # The cells of the chosen set all have size 2 (mod m) iff every
             # chosen arc is an m-diagonal of the cut disk, an N-gon with
@@ -427,12 +434,12 @@ def check_annulus_maximal(
             # an arc crossing a chosen arc still crosses it later, every
             # rejection is final: one pass over ``order`` adds all that
             # passes repeated until none adds an arc would.
-            cut = ann.BridgeCut(cfg, pool[first])
+            cut = ann.BridgeCut(cfg, bridge)
             for idx in order:
-                if idx != first and compatible(idx, chosen):
+                if not blocked[idx] and compatible(idx, later):
                     if cut.disk.is_m_diagonal(cut.to_disk(pool[idx])):
-                        chosen.append(idx)
-            chosen = sorted((pool[j] for j in chosen), key=ann.arc_sort_key)
+                        later.append(idx)
+            chosen = sorted((pool[j] for j in [first, *later]), key=ann.arc_sort_key)
             if not report.passes(len(chosen) == cfg.rank):
                 report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))
             result = ann.AnnulusAngulation(cfg, chosen)

@@ -99,15 +99,37 @@ def crossing_pool(cfg):
     return pool
 
 
+MATRIX_ANNULI = [AnnulusConfig(1, 4, 3), C43]
+
+
 class TestCrossesAgainstReference:
     @pytest.mark.parametrize("cfg", [AnnulusConfig(m, p, q) for m in (1, 2, 3)
-                                     for p, q in ((1, 1), (2, 1), (2, 2))], ids=repr)
+                                     for p, q in ((1, 1), (2, 1), (2, 2))]
+                             + MATRIX_ANNULI, ids=repr)
     def test_all_pairs_of_a_pool(self, cfg):
         # the second pool holds equal but distinct objects
         for x, y in itertools.product(crossing_pool(cfg), crossing_pool(cfg)):
             assert crosses(cfg, x, y) == reference_crosses(cfg, x, y)
             if isinstance(x, Bridge) and isinstance(y, Bridge):
                 assert bridge_crossings(cfg, x, y) == reference_bridge_crossings(cfg, x, y)
+
+    @pytest.mark.parametrize("cfg", MATRIX_ANNULI, ids=repr)
+    def test_bridge_pairs_of_the_maximal_set_pool(self, cfg):
+        # the maximal-set pool holds windings -w..w, w = p+q+3, so two of
+        # its bridges differ in winding by up to 2w; from one of the four
+        # corner endpoints, every endpoint difference of two bridges is met
+        w = cfg.p + cfg.q + 3
+        corners = [(o, i) for o in (1, cfg.outer_len) for i in (1, cfg.inner_len)]
+        for (o, i), o2, i2 in itertools.product(
+            corners, range(1, cfg.outer_len + 1), range(1, cfg.inner_len + 1)
+        ):
+            x = Bridge(o, i, 0)
+            for winding in range(-2 * w, 2 * w + 1):
+                y = Bridge(o2, i2, winding)
+                count = reference_bridge_crossings(cfg, x, y)
+                assert bridge_crossings(cfg, x, y) == count
+                assert bridge_crossings(cfg, y, x) == count
+                assert crosses(cfg, x, y) == crosses(cfg, y, x) == (count > 0)
 
 
 class TestIsMDiagonal:
@@ -561,6 +583,11 @@ class TestRebase:
         rebased = ang.rebased()
         assert min(b.winding for b in rebased.bridges()) == 0
         assert rebased.is_valid()
+
+    def test_no_bridge_rejected(self):
+        ang = AnnulusAngulation(AnnulusConfig(2, 2, 1), [OuterChord(1, 3)])
+        with pytest.raises(InvalidAngulation, match="^no bridge present$"):
+            ang.rebased()
 
 
 class TestSerialization:

@@ -491,6 +491,12 @@ class TestComplete:
         with pytest.raises(InvalidAngulation):
             complete(OCTAGON, [Diagonal(1, 4), Diagonal(2, 5)])
 
+    def test_every_fault_named(self):
+        # as violations() names them, joined by "; "
+        with pytest.raises(InvalidAngulation) as err:
+            complete(DiskConfig(2, 10), [Diagonal(1, 3), Diagonal(2, 5)])
+        assert str(err.value) == "(1,3) is not an m-diagonal; (1,3) crosses (2,5)"
+
 
 class TestEars:
     def test_octagon(self):

@@ -590,6 +590,33 @@ class TestOracleIndependence:
             report = check_annulus_maximal(cfg, trials=15, seed=5)
             assert report.passed and report.cases == 30
 
+    def test_maximal_sets_fail_when_every_arc_crosses(self, monkeypatch):
+        # the first bridge's crossing row is read through annulus.crosses:
+        # it blocks every candidate, and each trial stops at one arc
+        monkeypatch.setattr(annulus, "crosses", lambda cfg, x, y: True)
+        report = check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
+        assert report.cases == 30 and len(report.failures) == 30
+        assert report.failures[0].actual == "1"
+
+    def test_maximal_sets_fail_when_no_arc_crosses(self, monkeypatch):
+        # with annulus.crosses blind, the first bridge's row lets through
+        # arcs that cross that bridge, which the cut along it cannot place;
+        # a private copy of the bridge rule would keep them from the cut
+        real_crosses, real_to_disk = annulus.crosses, annulus.BridgeCut.to_disk
+
+        class CrossesTheCut(Exception):
+            pass
+
+        def to_disk(cut, arc):
+            if real_crosses(cut.cfg, arc, cut.bridge):
+                raise CrossesTheCut(arc)
+            return real_to_disk(cut, arc)
+
+        monkeypatch.setattr(annulus, "crosses", lambda cfg, x, y: False)
+        monkeypatch.setattr(annulus.BridgeCut, "to_disk", to_disk)
+        with pytest.raises(CrossesTheCut):
+            check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
+
     def test_counts_run_each_oracle_once(self, monkeypatch):
         calls = {}
         for name in ("enumerate_angulations", "flip_graph", "maximal_set_sizes"):
