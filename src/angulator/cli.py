@@ -151,29 +151,32 @@ def cmd_enumerate(args) -> int:
         cfg = DiskConfig(args.m, args.sides)
     except ValueError as exc:
         raise CliError(EXIT_BAD_JSON, str(exc))
-    try:
-        count, _ = disk.enumerate_angulations(cfg, guard=args.guard)
-        print(count)
-        if args.dot:
-            graph = disk.flip_graph(cfg, guard=args.guard)
-            with open(args.dot, "w") as handle:
-                handle.write(graph.to_dot() + "\n")
-    except GuardExceeded as exc:
-        raise CliError(EXIT_GUARD, str(exc))
+    with _open_output(args.dot, "DOT") as dot:
+        try:
+            count, _ = disk.enumerate_angulations(cfg, guard=args.guard)
+            print(count)
+            if dot is not None:
+                graph = disk.flip_graph(cfg, guard=args.guard)
+                dot.write(graph.to_dot() + "\n")
+        except GuardExceeded as exc:
+            raise CliError(EXIT_GUARD, str(exc))
     return 0
 
 
-def _open_timings(path: str):
+def _open_output(path: str | None, what: str):
+    """``path`` opened for writing, or a context of None without a path.
+    A command opens it before its work, so that an unwritable path exits 2
+    before anything is computed or printed."""
+    if not path:
+        return contextlib.nullcontext()
     try:
         return open(path, "w")
     except OSError as exc:
-        raise CliError(EXIT_BAD_JSON, f"cannot write timings: {exc}")
+        raise CliError(EXIT_BAD_JSON, f"cannot write {what}: {exc}")
 
 
 def cmd_verify(args) -> int:
-    # opened first, so that an unwritable path fails before the suites run
-    timings = _open_timings(args.timings) if args.timings else contextlib.nullcontext()
-    with timings:
+    with _open_output(args.timings, "timings") as timings:
         try:
             reports = run_suite(
                 args.suite, seed=args.seed, steps=args.steps, guard=args.guard
@@ -182,7 +185,7 @@ def cmd_verify(args) -> int:
             raise CliError(EXIT_BAD_JSON, str(exc))
         except GuardExceeded as exc:
             raise CliError(EXIT_GUARD, str(exc))
-        if args.timings:
+        if timings is not None:
             entries = [
                 {"suite": r.suite, "cases": r.cases, "elapsed": r.elapsed}
                 for r in reports

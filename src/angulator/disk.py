@@ -11,6 +11,7 @@ replaces a diagonal by its twist.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
@@ -33,20 +34,16 @@ class NotInAngulation(ValueError):
     """The diagonal to twist or flip is not part of the angulation."""
 
 
-@dataclass(frozen=True, order=True)
-class Diagonal:
-    """A chord of the polygon, stored with a < b."""
+class Diagonal(namedtuple("Diagonal", "a b")):
+    """A chord of the polygon: the tuple (a, b) with a < b.  Its hash,
+    equality and (a, b) order are the tuple's, and run in C."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __new__(cls, a: int, b: int):
+        if a == b:
             raise ValueError("a diagonal needs two distinct endpoints")
-        if self.a > self.b:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     def __repr__(self):
         return f"({self.a},{self.b})"
@@ -305,10 +302,13 @@ class DiskAngulation(Angulation):
         keys run both ways along exactly the diagonals), by one scan of
         the diagonals otherwise."""
         table = self.__dict__.get("_sides")
-        if table is None:
+        if type(d) is not Diagonal:
+            # a plain tuple equals the diagonal of its endpoints but is not one
+            found = False
+        elif table is None:
             found = d in self.arcs
         else:
-            found = type(d) is Diagonal and (d.b, d.a) in table
+            found = (d.b, d.a) in table
         if not found:
             raise NotInAngulation(f"{d} not in angulation")
 

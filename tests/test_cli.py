@@ -393,6 +393,13 @@ class TestEnumerate:
         assert code == 0 and out == "5\n"
         assert target.read_text().startswith("graph")
 
+    @pytest.mark.parametrize("where", ["missing/graph.dot", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_dot_exit_2(self, capsys, tmp_path, where):
+        # opened before the count, so nothing reaches stdout
+        code, out, err = run(capsys, "enumerate", "--m", "1", "--sides", "5",
+                             "--dot", str(tmp_path / where))
+        assert code == 2 and out == "" and "error: cannot write DOT:" in err
+
     def test_reads_env_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("ANGULATOR_GUARD", "3")
         code, _, _ = run(capsys, "enumerate", "--m", "1", "--sides", "12")

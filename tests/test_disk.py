@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angulator import disk
+from angulator.annulus import Bridge, InnerChord, OuterChord
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
     DiskConfig,
+    Edge,
     GuardExceeded,
     InvalidAngulation,
     NotInAngulation,
@@ -121,6 +124,66 @@ class TestConfig:
             DiskConfig(2, 7)
         with pytest.raises(ValueError):
             DiskConfig(3, 4)
+
+
+class TestDiagonalValue:
+    """A diagonal is the tuple (a, b) with a < b; the other arc and edge
+    types are dataclasses that never equal it."""
+
+    def test_endpoints_are_sorted(self):
+        d = Diagonal(7, 3)
+        assert (d.a, d.b) == (3, 7)
+        assert Diagonal(3, 7) == d
+
+    def test_equal_endpoints_refused(self):
+        with pytest.raises(ValueError, match="two distinct endpoints"):
+            Diagonal(4, 4)
+
+    def test_equals_and_hashes_as_its_tuple(self):
+        d = Diagonal(5, 2)
+        assert d == (2, 5) and (2, 5) == d
+        assert hash(d) == hash((2, 5))
+        assert {d: 1}[2, 5] == 1
+
+    @pytest.mark.parametrize("cfg", DISK_MATRIX, ids=repr)
+    def test_sorts_by_a_then_b(self, cfg):
+        pool = cfg.all_diagonals()
+        backwards = pool[::-1]
+        assert sorted(backwards) == sorted(backwards, key=lambda d: (d.a, d.b)) == pool
+
+    def test_immutable(self):
+        d = Diagonal(1, 4)
+        with pytest.raises(AttributeError):
+            d.a = 2
+        assert d == (1, 4)
+
+    def test_repr(self):
+        assert repr(Diagonal(4, 1)) == "(1,4)"
+        assert repr([Diagonal(1, 4), Diagonal(4, 7)]) == "[(1,4), (4,7)]"
+
+    def test_copy_is_equal(self):
+        d = Diagonal(2, 6)
+        assert copy.copy(d) == d and copy.deepcopy(d) == d
+        assert type(copy.copy(d)) is Diagonal
+
+    def test_plain_tuple_is_not_in_an_angulation(self):
+        # equal to a diagonal of the fan, but no Diagonal: refused alike
+        # before and after the twist table is built
+        fan = initial_fan(OCTAGON)
+        with pytest.raises(NotInAngulation):
+            fan.can_flip((1, 4))
+        fan.twist(Diagonal(1, 4))
+        assert "_sides" in fan.__dict__
+        with pytest.raises(NotInAngulation):
+            fan.can_flip((1, 4))
+
+    def test_never_equals_another_arc_or_edge(self):
+        d = Diagonal(2, 5)
+        others = [Edge(d.a, d.b), OuterChord(d.a, d.b), InnerChord(d.a, d.b),
+                  Bridge(d.a, d.b, 0)]
+        for other in others:
+            assert d != other and other != d
+        assert len({d, *others}) == 1 + len(others)
 
 
 class TestIsMDiagonal:

@@ -400,8 +400,9 @@ class TestAngulationInterface:
             # its cut view's bridge with itself
             assert calls.get("eq", 0) <= len(ang.arcs)
             assert all(ang.can_flip(copy.copy(x)) for x in ang.arcs)
-            foreign = copy.copy(ang.arcs[0])
-            object.__setattr__(foreign, "winding" if hasattr(foreign, "winding") else "b", 99)
+            x = ang.arcs[0]
+            foreign = (annulus.Bridge(x.outer, x.inner, 99) if hasattr(x, "winding")
+                       else Diagonal(x.a, 99))
             with pytest.raises(NotInAngulation):
                 ang.can_flip(foreign)
             with pytest.raises(NotInAngulation):
