@@ -119,19 +119,6 @@ class AnnulusConfig:
     def rank(self) -> int:
         return self.p + self.q
 
-    @property
-    def period(self) -> int:
-        """Deck translation step in the scaled strip coordinates."""
-        return self.outer_len * self.inner_len
-
-    def top(self, outer_index: int) -> int:
-        """Scaled strip abscissa of an outer vertex lift."""
-        return outer_index * self.inner_len
-
-    def bottom(self, inner_index: int, winding: int) -> int:
-        """Scaled strip abscissa of an inner vertex lift."""
-        return (inner_index + winding * self.inner_len) * self.outer_len
-
     def is_m_diagonal(self, arc: ArcClass) -> bool:
         m = self.m
         if isinstance(arc, Bridge):
@@ -160,29 +147,16 @@ class AnnulusConfig:
         return arc
 
 
-def bridge_crossings(cfg: AnnulusConfig, x: Bridge, y: Bridge) -> int:
-    """Minimal number of interior intersections of two bridges.
-
-    Straight lifts of y properly cross a fixed lift of x once for every
-    deck multiple strictly between the top and bottom abscissa differences
-    (the scaled ``top``/``bottom`` lifts; equal bridges give 0).
-    """
-    outer_len, inner_len = cfg.m * cfg.p, cfg.m * cfg.q
-    dt = (x.outer - y.outer) * inner_len
-    db = (x.inner - y.inner + (x.winding - y.winding) * inner_len) * outer_len
-    lo, hi = (dt, db) if dt < db else (db, dt)
-    per = outer_len * inner_len
-    # integers n with lo < n * per < hi
-    return max(0, (hi - 1) // per - lo // per)
-
-
 def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
     """True iff the minimal representatives of the two arcs intersect;
     an arc never crosses itself.
 
     The hot predicate of the maximal-set and cut suites: each arc's type
-    is read once, and a bridge pair is decided by the integer rule of
-    ``bridge_crossings`` inline.
+    is read once, and a bridge pair is decided inline in integers.  The
+    strip abscissas are scaled by mp * mq: O_a lifts to a * mq, I_b with
+    winding w to (b + w * mq) * mp, and the deck step is mp * mq.  Two
+    bridges cross iff a deck multiple lies strictly between the
+    differences of their top and of their bottom abscissas.
     """
     tx, ty = type(x), type(y)
     if tx is Bridge:
@@ -191,7 +165,6 @@ def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
             dt = (x.outer - y.outer) * inner_len
             db = (x.inner - y.inner + (x.winding - y.winding) * inner_len) * outer_len
             per = outer_len * inner_len
-            # a deck multiple strictly between the two differences
             if dt < db:
                 return (db - 1) // per > dt // per
             return (dt - 1) // per > db // per
@@ -240,12 +213,17 @@ class AnnulusAngulation(Angulation):
         cut along the least bridge.  A set without them keeps the cut as
         its first view.
 
-        The cut disk has N = m(p+q)+2 sides, N = 2 (mod m), and its p+q
-        cells all have size 2 (mod m) iff every chord is an m-diagonal (the
-        argument is in ``verify.check_annulus_maximal``); as the sizes add
-        up to (m+2)(p+q), that makes every cell an (m+2)-gon.  For m = 1
-        the p+q-1 diagonals triangulate the cut disk whatever they are, so
-        the rule is not read.
+        The cut disk has N = m(p+q)+2 sides, N = 2 (mod m), and its cells
+        all have size 2 (mod m) iff every chord is an m-diagonal, a chord
+        cutting it into two pieces of size 2 (mod m).  Congruences here are
+        mod m.  If every cell has size 2, a piece of c cells glued along
+        c - 1 chords has size 2c - 2(c - 1) = 2.  If every chord is an
+        m-diagonal, a cell with vertices v1 < ... < vk has vk - v1 = 1 (its
+        closing side is a chord or the edge from N to 1), a sum of k - 1
+        steps of 1 each, so k = 2.  As the sizes of the p+q cells add up to
+        (m+2)(p+q), that makes every cell an (m+2)-gon.  For m = 1 the
+        p+q-1 diagonals triangulate the cut disk whatever they are, so the
+        rule is not read.
         """
         if self.config.m == 1:
             return ()
@@ -499,7 +477,7 @@ class BridgeCut:
         self.sides = outer_len + inner_len + 2
         self.disk = DiskConfig(cfg.m, self.sides)
         # the deck period and the bridge's lifts in the scaled strip
-        # coordinates of AnnulusConfig.top and AnnulusConfig.bottom
+        # coordinates of ``crosses``
         self._per = outer_len * inner_len
         self._top0 = bridge.outer * inner_len
         self._bot0 = (bridge.inner + bridge.winding * inner_len) * outer_len

@@ -45,6 +45,12 @@ class Diagonal(namedtuple("Diagonal", "a b")):
             raise ValueError("a diagonal needs two distinct endpoints")
         return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
+    @classmethod
+    def _make(cls, iterable):
+        # the base's _make, which _replace and copy.replace call too,
+        # would skip the checks of __new__
+        return cls(*iterable)
+
     def __repr__(self):
         return f"({self.a},{self.b})"
 
@@ -318,11 +324,6 @@ class DiskAngulation(Angulation):
         self._require_valid()
         return self._sides[d.b, d.a], self._sides[d.a, d.b]
 
-    def merged_region(self, d: Diagonal) -> tuple[int, ...]:
-        """Vertex cycle of the (2m+2)-gon around d, clockwise."""
-        (inner, _), (outer, _) = self._around(d)
-        return tuple(sorted(set(inner.vertices) | set(outer.vertices)))
-
     def twist(self, d: Diagonal) -> Diagonal:
         """Clockwise-next chord splitting the merged region around d: it
         joins the vertex after a inside [a, b] to the vertex after b
@@ -457,38 +458,20 @@ def _completions(
     return out
 
 
-def complete(cfg: DiskConfig, partial: Iterable[Diagonal]) -> DiskAngulation:
-    """Greedy completion of a noncrossing set to a full angulation.
-
-    Candidates are scanned in (a, b) order; the first compatible one is
-    appended until the rank is reached, so the result is deterministic.
-    """
-    chosen = sorted(set(partial))
-    problems = list(arc_set_problems(cfg, chosen))
-    if problems:
-        raise InvalidAngulation("; ".join(problems))
-    for cand in cfg.all_diagonals():
-        if len(chosen) == cfg.rank:
-            break
-        if cand not in chosen and all(not crosses(cand, d) for d in chosen):
-            chosen.append(cand)
-    return DiskAngulation(cfg, chosen)
-
-
 @dataclass(frozen=True)
 class DiskCut:
-    """Result of cutting the polygon along a diagonal.
+    """Result of cutting the polygon along the chord (a, b).
 
-    ``map1``/``map2`` send piece-local labels 1..S_i to global labels;
-    transported diagonals keep their crossing relations.
+    Each piece labels its vertices 1..S_i clockwise: piece 1 runs from a
+    to b, so its label i is global a + i - 1; piece 2 runs from b round
+    to a, so its label i is global (b + i - 2) % S + 1.  Transported
+    diagonals keep their crossing relations.
     """
 
     config: DiskConfig
     chord: Diagonal
     piece1: DiskConfig
     piece2: DiskConfig
-    map1: tuple[int, ...]
-    map2: tuple[int, ...]
 
     def transport(self, e: Diagonal) -> tuple[int, Diagonal]:
         """Piece number (1 or 2) and local coordinates of a diagonal."""
@@ -499,13 +482,17 @@ class DiskCut:
         a, b = self.chord.a, self.chord.b
         if a <= e.a and e.b <= b:
             return 1, Diagonal(e.a - a + 1, e.b - a + 1)
-        # inverse of map2: piece-2 label i is global (b + i - 2) % S + 1
         sides = self.config.sides
         return 2, Diagonal((e.a - b) % sides + 1, (e.b - b) % sides + 1)
 
     def pull_back(self, piece: int, e: Diagonal) -> Diagonal:
-        mapping = self.map1 if piece == 1 else self.map2
-        return Diagonal(mapping[e.a - 1], mapping[e.b - 1])
+        """The global diagonal of a piece-local one: ``transport``
+        inverted."""
+        a, b = self.chord.a, self.chord.b
+        if piece == 1:
+            return Diagonal(e.a + a - 1, e.b + a - 1)
+        sides = self.config.sides
+        return Diagonal((b + e.a - 2) % sides + 1, (b + e.b - 2) % sides + 1)
 
 
 def cut_along(cfg: DiskConfig, d: Diagonal) -> DiskCut:
@@ -514,13 +501,7 @@ def cut_along(cfg: DiskConfig, d: Diagonal) -> DiskCut:
         raise InvalidAngulation(f"{d} is not an m-diagonal")
     s1 = d.b - d.a + 1
     s2 = cfg.sides - (d.b - d.a) + 1
-    map1 = tuple(range(d.a, d.b + 1))
-    map2 = tuple(
-        (v - 1) % cfg.sides + 1 for v in range(d.b, d.b + s2)
-    )
-    return DiskCut(
-        cfg, d, DiskConfig(cfg.m, s1), DiskConfig(cfg.m, s2), map1, map2
-    )
+    return DiskCut(cfg, d, DiskConfig(cfg.m, s1), DiskConfig(cfg.m, s2))
 
 
 def _check_guard(cfg: DiskConfig, guard: int):

@@ -423,17 +423,12 @@ def check_annulus_maximal(
             later = []
             # The first arc is a bridge and stays chosen: cut along it.
             # The cells of the chosen set all have size 2 (mod m) iff every
-            # chosen arc is an m-diagonal of the cut disk, an N-gon with
-            # N = 2 (mod m): a chord cutting it into two pieces of size
-            # 2 (mod m).  Congruences below are mod m.  If every cell has
-            # size 2, a piece of c cells glued along c - 1 chords has size
-            # 2c - 2(c - 1) = 2.  If every chord is an m-diagonal, a cell
-            # with vertices v1 < ... < vk has vk - v1 = 1 (its closing side
-            # is a chord or the edge from N to 1), a sum of k - 1 steps of
-            # 1 each, so k = 2.  So the rule reads the candidate alone.  As
-            # an arc crossing a chosen arc still crosses it later, every
-            # rejection is final: one pass over ``order`` adds all that
-            # passes repeated until none adds an arc would.
+            # chosen arc is an m-diagonal of the cut disk (the argument is
+            # in ``AnnulusAngulation._cell_problems``), so the rule reads
+            # the candidate alone.  As an arc crossing a chosen arc still
+            # crosses it later, every rejection is final: one pass over
+            # ``order`` adds all that passes repeated until none adds an
+            # arc would.
             cut = ann.BridgeCut(cfg, bridge)
             for idx in order:
                 if not blocked[idx] and compatible(idx, later):

@@ -15,7 +15,6 @@ from angulator.disk import (
     GuardExceeded,
     InvalidAngulation,
     NotInAngulation,
-    complete,
     completions,
     crosses,
     cut_along,
@@ -28,6 +27,7 @@ from angulator.disk import (
 from angulator.faces import split_regions
 from angulator.quiver import ColoredQuiver
 from angulator.verify import COMPAT_ENUM_CAP, DISK_MATRIX, fuss_catalan, random_walk
+from regions import merged_region
 
 PENTAGON = DiskConfig(1, 5)
 OCTAGON = DiskConfig(2, 8)
@@ -160,6 +160,22 @@ class TestDiagonalValue:
     def test_repr(self):
         assert repr(Diagonal(4, 1)) == "(1,4)"
         assert repr([Diagonal(1, 4), Diagonal(4, 7)]) == "[(1,4), (4,7)]"
+
+    def test_make_and_replace_sort_and_check(self):
+        assert Diagonal._make((5, 1)) == (1, 5)
+        assert type(Diagonal._make((5, 1))) is Diagonal
+        d = Diagonal(1, 5)
+        assert d._replace(a=9) == (5, 9)
+        assert type(d._replace(a=9)) is Diagonal
+        with pytest.raises(ValueError, match="two distinct endpoints"):
+            d._replace(a=5)
+        with pytest.raises(ValueError, match="two distinct endpoints"):
+            Diagonal._make((3, 3))
+        if hasattr(copy, "replace"):
+            # Python 3.13 and later: copy.replace calls _replace
+            assert copy.replace(d, a=9) == (5, 9)
+            with pytest.raises(ValueError, match="two distinct endpoints"):
+                copy.replace(d, a=5)
 
     def test_copy_is_equal(self):
         d = Diagonal(2, 6)
@@ -359,9 +375,7 @@ class TestTwistFlip:
         # twist applied m more times inside the region is the inverse
         ang = octagon_fan()
         d = Diagonal(1, 4)
-        region = ang.merged_region(d)
-        from angulator.disk import region_twist
-
+        region = merged_region(ang, d)
         back = ang.twist(d)
         for _ in range(OCTAGON.m):
             back = region_twist(region, back, OCTAGON.m)
@@ -403,13 +417,23 @@ class TestTwistTable:
         _, found = enumerate_angulations(cfg, collect=True)
         for ang in found:
             for d in ang.arcs:
-                assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
+                assert ang.twist(d) == region_twist(merged_region(ang, d), d, cfg.m)
+
+    @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
+    def test_merged_region_is_a_2m_plus_2_gon(self, cfg):
+        # the two (m+2)-gons beside d share only d's endpoints
+        _, found = enumerate_angulations(cfg, collect=True)
+        for ang in found:
+            for d in ang.arcs:
+                region = merged_region(ang, d)
+                assert len(region) == 2 * cfg.m + 2
+                assert d.a in region and d.b in region
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
     def test_twist_is_the_region_twist_along_walks(self, cfg):
         for ang, _ in random_walk(cfg, 40, 7):
             for d in ang.arcs:
-                assert ang.twist(d) == region_twist(ang.merged_region(d), d, cfg.m)
+                assert ang.twist(d) == region_twist(merged_region(ang, d), d, cfg.m)
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS + SMALL_DISKS[-2:], ids=repr)
     def test_carried_table_equals_a_fresh_one(self, cfg):
@@ -537,30 +561,6 @@ class TestQuiverOf:
         assert sum(v for _, v in q.arrows()) == 6
 
 
-class TestComplete:
-    def test_empty_pentagon_gives_greedy_first(self):
-        assert complete(PENTAGON, []) == pentagon_fan()
-
-    def test_full_angulation_unchanged(self):
-        ang = octagon_fan()
-        assert complete(OCTAGON, ang.arcs) == ang
-
-    def test_partial_octagon(self):
-        out = complete(OCTAGON, [Diagonal(2, 5)])
-        assert out == DiskAngulation(OCTAGON, [Diagonal(1, 6), Diagonal(2, 5)])
-        assert Diagonal(2, 5) in out.arcs and out.is_valid()
-
-    def test_crossing_input_rejected(self):
-        with pytest.raises(InvalidAngulation):
-            complete(OCTAGON, [Diagonal(1, 4), Diagonal(2, 5)])
-
-    def test_every_fault_named(self):
-        # as violations() names them, joined by "; "
-        with pytest.raises(InvalidAngulation) as err:
-            complete(DiskConfig(2, 10), [Diagonal(1, 3), Diagonal(2, 5)])
-        assert str(err.value) == "(1,3) is not an m-diagonal; (1,3) crosses (2,5)"
-
-
 class TestEars:
     def test_octagon(self):
         assert OCTAGON.is_m_ear(Diagonal(1, 4))
@@ -617,11 +617,15 @@ class TestCutAlong:
 
     @pytest.mark.parametrize("cfg", DISK_MATRIX, ids=repr)
     def test_transport_inverts_the_piece_maps(self, cfg):
-        # against the inverse of map2 built as a dict, on every cut
+        # the label maps of the DiskCut docstring as tuples, and the inverse
+        # of the piece-2 map as a dict, on every cut
         diagonals = cfg.all_diagonals()
         for d in diagonals:
             cut = cut_along(cfg, d)
-            inv2 = {g: i + 1 for i, g in enumerate(cut.map2)}
+            map1 = tuple(d.a + i - 1 for i in range(1, cut.piece1.sides + 1))
+            map2 = tuple((d.b + i - 2) % cfg.sides + 1
+                         for i in range(1, cut.piece2.sides + 1))
+            inv2 = {g: i + 1 for i, g in enumerate(map2)}
             for e in diagonals:
                 if e == d or crosses(e, d):
                     continue
@@ -629,7 +633,17 @@ class TestCutAlong:
                 if piece == 2:
                     assert local == Diagonal(inv2[e.a], inv2[e.b])
                 else:
-                    assert (cut.map1[local.a - 1], cut.map1[local.b - 1]) == (e.a, e.b)
+                    assert (map1[local.a - 1], map1[local.b - 1]) == (e.a, e.b)
+                assert cut.pull_back(piece, local) == e
+
+    def test_pull_back_of_an_octagon_cut(self):
+        # piece 1 of the cut along (3,6) holds labels 3..6, piece 2 holds
+        # 6, 7, 8, 1, 2, 3: its labels wrap past 8
+        cut = cut_along(OCTAGON, Diagonal(3, 6))
+        assert cut.pull_back(1, Diagonal(1, 4)) == Diagonal(3, 6)
+        assert cut.pull_back(2, Diagonal(1, 4)) == Diagonal(1, 6)
+        assert cut.pull_back(2, Diagonal(2, 5)) == Diagonal(2, 7)
+        assert cut.transport(Diagonal(2, 7)) == (2, Diagonal(2, 5))
 
     def test_crossing_diagonal_rejected(self):
         cut = cut_along(OCTAGON, Diagonal(1, 4))

@@ -40,6 +40,7 @@ from angulator.verify import (
     random_walk,
     run_suite,
 )
+from regions import merged_region
 
 PENTAGON = DiskConfig(1, 5)
 WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
@@ -347,7 +348,7 @@ class TestFlipValidity:
             # a chord of the region around x that cuts off a triangle and
             # stands for a bridge: it crosses nothing and is an m-diagonal
             # of the annulus, but leaves cells that are not (m+2)-gons
-            region = view.disk.merged_region(view.diagonal[x])
+            region = merged_region(view.disk, view.diagonal[x])
             bad = next(d for d in map(Diagonal, region, region[2:])
                        if isinstance(view.cut.from_disk(d), annulus.Bridge))
             assert not view.cut.disk.is_m_diagonal(bad)
