@@ -476,8 +476,9 @@ class BridgeCut:
         self.inner_len = inner_len = cfg.m * cfg.q
         self.sides = outer_len + inner_len + 2
         self.disk = DiskConfig(cfg.m, self.sides)
-        # the deck period and the bridge's lifts in the scaled strip
-        # coordinates of ``crosses``
+        # the deck period and the cut strip's corners, the bridge's first
+        # lift, in the scaled strip coordinates of ``crosses``: ``to_disk``
+        # places a bridge by one shift of whole periods from these corners
         self._per = outer_len * inner_len
         self._top0 = bridge.outer * inner_len
         self._bot0 = (bridge.inner + bridge.winding * inner_len) * outer_len
@@ -489,16 +490,6 @@ class BridgeCut:
         return Edge(top_max, top_max + 1), Edge(self.sides, 1)
 
     # -- vertex maps -------------------------------------------------------
-
-    def _top_vertex(self, pos: int) -> int:
-        offset, rem = divmod(pos - self._top0, self.inner_len)
-        assert rem == 0 and 0 <= offset <= self.outer_len
-        return 1 + offset
-
-    def _bottom_vertex(self, pos: int) -> int:
-        offset, rem = divmod(pos - self._bot0, self.outer_len)
-        assert rem == 0 and 0 <= offset <= self.inner_len
-        return self.sides - offset
 
     def outer_label(self, disk_vertex: int) -> int:
         """Outer boundary label of a top disk vertex (1..mp+1)."""
@@ -519,24 +510,15 @@ class BridgeCut:
             raise ValueError(f"{arc} crosses the cut bridge")
         outer_len, inner_len = self.outer_len, self.inner_len
         if isinstance(arc, Bridge):
-            top0, bot0, per = self._top0, self._bot0, self._per
-            t = arc.outer * inner_len
-            b = (arc.inner + arc.winding * inner_len) * outer_len
-            # the lifts whose top lies on the cut strip's top side
-            # [top0, top0 + per]: two when the arc shares the bridge's
-            # outer endpoint
-            tt = top0 + (t - top0) % per
-            bb = b + tt - t
-            lifts = [(tt, bb), (tt + per, bb + per)] if tt == top0 else [(tt, bb)]
-            placements = [
-                (x, y) for x, y in lifts
-                if bot0 <= y <= bot0 + per
-                # the bridge's own two lifts bound the strip
-                and (x, y) not in ((top0, bot0), (top0 + per, bot0 + per))
-            ]
-            assert len(placements) == 1, f"ambiguous placement of {arc}"
-            tt, bb = placements[0]
-            return Diagonal(self._top_vertex(tt), self._bottom_vertex(bb))
+            # dt, db: offsets of a lift from the cut strip's corners.  The
+            # two checks above make one shift exact: a noncrossing arc has
+            # no deck multiple strictly between dt and db, so one shift by
+            # whole periods puts both in [0, per], and only the cut bridge
+            # has both at 0
+            dt = arc.outer * inner_len - self._top0
+            db = (arc.inner + arc.winding * inner_len) * outer_len - self._bot0
+            k = min(dt, db) // self._per * self._per
+            return Diagonal(1 + (dt - k) // inner_len, self.sides - (db - k) // outer_len)
         if isinstance(arc, OuterChord):
             offset = (arc.start - self.bridge.outer) % outer_len
             assert offset + arc.span <= outer_len

@@ -44,8 +44,9 @@ def _read_input(spec: str) -> dict:
         else:
             with open(spec) as handle:
                 data = json.load(handle)
-    # ValueError covers malformed JSON, undecodable bytes and over-long numbers
-    except (ValueError, OSError) as exc:
+    # ValueError covers malformed JSON, undecodable bytes and over-long
+    # numbers; RecursionError, nesting too deep for the decoder
+    except (ValueError, OSError, RecursionError) as exc:
         raise CliError(EXIT_BAD_JSON, f"cannot read input: {exc}")
     if not isinstance(data, dict):
         raise CliError(EXIT_BAD_JSON,
@@ -152,14 +153,11 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise CliError(EXIT_BAD_JSON, str(exc))
     with _open_output(args.dot, "DOT") as dot:
-        try:
-            count, _ = disk.enumerate_angulations(cfg, guard=args.guard)
-            print(count)
-            if dot is not None:
-                graph = disk.flip_graph(cfg, guard=args.guard)
-                dot.write(graph.to_dot() + "\n")
-        except GuardExceeded as exc:
-            raise CliError(EXIT_GUARD, str(exc))
+        count, _ = disk.enumerate_angulations(cfg, guard=args.guard)
+        print(count)
+        if dot is not None:
+            graph = disk.flip_graph(cfg, guard=args.guard)
+            dot.write(graph.to_dot() + "\n")
     return 0
 
 
@@ -183,8 +181,6 @@ def cmd_verify(args) -> int:
             )
         except ValueError as exc:
             raise CliError(EXIT_BAD_JSON, str(exc))
-        except GuardExceeded as exc:
-            raise CliError(EXIT_GUARD, str(exc))
         if timings is not None:
             entries = [
                 {"suite": r.suite, "cases": r.cases, "elapsed": r.elapsed}
@@ -284,6 +280,9 @@ def main(argv=None) -> int:
     except InvalidAngulation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except GuardExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

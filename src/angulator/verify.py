@@ -393,23 +393,7 @@ def check_annulus_maximal(
                     pool.append(kind(s, t))
         pool = [a for a in pool if cfg.is_m_diagonal(a)]
         ids = {a: i for i, a in enumerate(pool)}
-        # crossing[j][i] for a pool arc j chosen after the first arc of some
-        # trial: 0 while unknown, 1 when arcs i and j are disjoint, 2 when
-        # they cross
-        crossing = {}
         crosses = ann.crosses
-
-        def compatible(i, chosen):
-            for j in chosen:
-                row = crossing.get(j)
-                if row is None:
-                    row = crossing[j] = bytearray(len(pool))
-                if not row[i]:
-                    row[i] = 1 + crosses(cfg, pool[i], pool[j])
-                if row[i] == 2:
-                    return False
-            return True
-
         for _ in range(trials):
             first = ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
                                    rng.randrange(1, cfg.inner_len + 1),
@@ -417,7 +401,7 @@ def check_annulus_maximal(
             bridge = pool[first]
             order = rng.sample(range(len(pool)), len(pool))
             # every candidate meets the first bridge: its whole crossing
-            # row in one pass, and the lazy rows for the arcs chosen later
+            # row in one pass, then the arcs chosen later one by one
             blocked = [crosses(cfg, a, bridge) for a in pool]
             blocked[first] = True
             later = []
@@ -431,10 +415,16 @@ def check_annulus_maximal(
             # arc would.
             cut = ann.BridgeCut(cfg, bridge)
             for idx in order:
-                if not blocked[idx] and compatible(idx, later):
-                    if cut.disk.is_m_diagonal(cut.to_disk(pool[idx])):
-                        later.append(idx)
-            chosen = sorted((pool[j] for j in [first, *later]), key=ann.arc_sort_key)
+                if blocked[idx]:
+                    continue
+                arc = pool[idx]
+                for other in later:
+                    if crosses(cfg, arc, other):
+                        break
+                else:
+                    if cut.disk.is_m_diagonal(cut.to_disk(arc)):
+                        later.append(arc)
+            chosen = sorted([bridge, *later], key=ann.arc_sort_key)
             if not report.passes(len(chosen) == cfg.rank):
                 report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))
             result = ann.AnnulusAngulation(cfg, chosen)

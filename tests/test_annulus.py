@@ -107,6 +107,38 @@ def crossing_pool(cfg):
     return pool
 
 
+def reference_to_disk(cut, arc):
+    """Disk diagonal of a bridge that does not cross the cut bridge, by a
+    search over its lifts (reference).  In the scaled strip coordinates of
+    ``crosses``, the cut strip's top side runs over [top0, top0 + per] and
+    its bottom side over [bot0, bot0 + per]; the bridge's own two lifts
+    bound it.  The arc's lifts with a top on the top side are one, or two
+    when it shares the cut bridge's outer endpoint; exactly one of them
+    has its bottom on the bottom side and is not a lift of the bridge."""
+    cfg, y = cut.cfg, cut.bridge
+    outer_len, inner_len = cfg.outer_len, cfg.inner_len
+    per = outer_len * inner_len
+    top0 = y.outer * inner_len
+    bot0 = (y.inner + y.winding * inner_len) * outer_len
+    t = arc.outer * inner_len
+    b = (arc.inner + arc.winding * inner_len) * outer_len
+    tt = top0 + (t - top0) % per
+    bb = b + tt - t
+    lifts = [(tt, bb), (tt + per, bb + per)] if tt == top0 else [(tt, bb)]
+    placements = [
+        (x, z) for x, z in lifts
+        if bot0 <= z <= bot0 + per
+        and (x, z) not in ((top0, bot0), (top0 + per, bot0 + per))
+    ]
+    assert len(placements) == 1, f"ambiguous placement of {arc}"
+    [(x, z)] = placements
+    top, rem = divmod(x - top0, inner_len)
+    assert rem == 0 and 0 <= top <= outer_len
+    bottom, rem = divmod(z - bot0, outer_len)
+    assert rem == 0 and 0 <= bottom <= inner_len
+    return Diagonal(1 + top, cut.sides - bottom)
+
+
 MATRIX_ANNULI = [AnnulusConfig(1, 4, 3), C43]
 
 
@@ -530,6 +562,37 @@ class TestCutAlong:
             diag = res.to_disk(a)
             assert res.disk.is_m_diagonal(diag)
             assert res.from_disk(diag) == a
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bridge_placement_matches_the_lift_search(self, m):
+        # every noncrossing pair of a bridge with winding -3..3 and a cut
+        # bridge with winding -1..1, for p, q <= 3
+        for p, q in itertools.product((1, 2, 3), repeat=2):
+            cfg = AnnulusConfig(m, p, q)
+            ends = list(itertools.product(range(1, cfg.outer_len + 1),
+                                          range(1, cfg.inner_len + 1)))
+            arcs = [Bridge(o, i, w) for o, i in ends for w in range(-3, 4)]
+            for o, i in ends:
+                for w in (-1, 0, 1):
+                    cut = BridgeCut(cfg, Bridge(o, i, w))
+                    for a in arcs:
+                        if a != cut.bridge and not crosses(cfg, a, cut.bridge):
+                            diag = cut.to_disk(a)
+                            assert diag == reference_to_disk(cut, a), (cfg, cut.bridge, a)
+                            assert cut.from_disk(diag) == a
+
+    @pytest.mark.parametrize("cfg", [C11, AnnulusConfig(2, 2, 1), C43], ids=repr)
+    def test_to_disk_rejects_the_cut_bridge_and_crossing_arcs(self, cfg):
+        pool = crossing_pool(cfg)
+        for y in (Bridge(1, 1, 0), Bridge(cfg.outer_len, 1, -1), Bridge(1, cfg.inner_len, 2)):
+            cut = BridgeCut(cfg, y)
+            with pytest.raises(ValueError, match="cut bridge itself"):
+                cut.to_disk(Bridge(y.outer, y.inner, y.winding))
+            crossing = [a for a in pool if crosses(cfg, a, y)]
+            assert crossing
+            for a in crossing:
+                with pytest.raises(ValueError, match="crosses the cut bridge"):
+                    cut.to_disk(a)
 
     def test_bridge_cut_reads_no_config_property_per_call(self, monkeypatch):
         def refuse(*args):

@@ -472,6 +472,39 @@ class TestFileInput(object):
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, "quiver", "no-such-file.json")[0] == 2
 
+    def test_nesting_too_deep_exit_2(self, capsys, tmp_path):
+        # deeper than the decoder's recursion limit
+        depth = 100_000
+        text = '{"a": ' + "[" * depth + "]" * depth + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        for spec in (str(path), "-", text):
+            with mock.patch("sys.stdin", io.StringIO(text)):
+                code, out, err = run(capsys, "validate", spec)
+            assert code == 2 and out == "", spec[:8]
+            assert err.startswith("error: cannot read input:"), spec[:8]
+
+
+class TestGuardExit:
+    """A guard exceeded mid-command exits 5 and leaves the output files
+    that the command opened empty."""
+
+    def test_enumerate_dot(self, capsys, tmp_path):
+        target = tmp_path / "graph.dot"
+        code, out, err = run(capsys, "enumerate", "--m", "1", "--sides", "40",
+                             "--guard", "6", "--dot", str(target))
+        assert (code, out) == (5, "")
+        assert err == "error: rank 37 exceeds the enumeration guard 6\n"
+        assert target.read_text() == ""
+
+    def test_verify_timings(self, capsys, tmp_path):
+        target = tmp_path / "timings.json"
+        code, out, err = run(capsys, "verify", "--suite", "compat", "--steps", "3",
+                             "--guard", "3", "--timings", str(target))
+        assert (code, out) == (5, "")
+        assert err == "error: rank 4 exceeds the enumeration guard 3\n"
+        assert target.read_text() == ""
+
 
 def with_field(model: str, path, value) -> str:
     """``model`` with the entry at ``path`` (keys and indices) set to ``value``."""
