@@ -19,6 +19,7 @@ raises UnsupportedFlip instead of leaving the model.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -76,6 +77,11 @@ class InnerChord:
 
 
 ArcClass = Bridge | OuterChord | InnerChord
+
+# The JSON kind of each arc class, and the class of each kind.  An arc's
+# JSON fields are its dataclass fields, in order.
+JSON_KIND = {Bridge: "bridge", OuterChord: "outer_chord", InnerChord: "inner_chord"}
+_KIND_CLASS = {kind: cls for cls, kind in JSON_KIND.items()}
 
 
 def arc_sort_key(arc: ArcClass):
@@ -228,14 +234,13 @@ class AnnulusAngulation(Angulation):
         if self.config.m == 1:
             return ()
         ref = self.bridges()[0]
-        cut = BridgeCut(self.config, ref)
-        diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
+        view = self._cut_open(ref)
         bad = tuple(
             f"{a} is not an m-diagonal of the cut along {ref}"
-            for a, d in diagonal.items() if not cut.disk.is_m_diagonal(d)
+            for a, d in view.diagonal.items() if not view.cut.disk.is_m_diagonal(d)
         )
         if not bad:
-            self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
+            self._views[ref] = view
         return bad
 
     def violations(self) -> list[str]:
@@ -254,14 +259,22 @@ class AnnulusAngulation(Angulation):
     def _views(self) -> dict[Bridge, "CutView"]:
         return {}
 
+    def _cut_open(self, ref: Bridge) -> "CutView":
+        """The angulation cut open along its bridge ``ref``.  The disk
+        angulation is marked valid, as (m+2)-gon cells stay (m+2)-gons in
+        every cut: a caller keeps the view of a valid annulus only."""
+        cut = BridgeCut(self.config, ref)
+        diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
+        disk = DiskAngulation(cut.disk, diagonal.values())
+        disk.__dict__["_problems"] = ()
+        return CutView(cut, diagonal, disk)
+
     def _view(self, ref: Bridge) -> "CutView":
         """The angulation cut open along ``ref``, built once per bridge."""
         view = self._views.get(ref)
         if view is None:
             self._require_valid()
-            cut = BridgeCut(self.config, ref)
-            diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
-            view = self._views[ref] = CutView(cut, diagonal, _valid_disk(cut, diagonal))
+            view = self._views[ref] = self._cut_open(ref)
         return view
 
     def _held_view(self, avoid: ArcClass | None = None) -> "CutView":
@@ -272,21 +285,18 @@ class AnnulusAngulation(Angulation):
         for ref, view in self._views.items():
             if ref != avoid:
                 return view
-        others = [b for b in self.bridges() if b != avoid]
-        if not others:
-            raise InvalidAngulation("no bridge left to cut along")
-        return self._view(others[0])
+        # a valid angulation has two bridges at least
+        return self._view(next(b for b in self.bridges() if b != avoid))
 
     def faces(self, ref: Bridge | None = None) -> list[Face]:
-        """The p+q cells, computed by cutting open along a bridge of the
-        angulation (``ref``, or one it holds a cut along already); the
-        result does not depend on the bridge chosen."""
+        """The p+q cells: the disk faces of a cut along a bridge of the
+        angulation (``ref``, or one it holds a cut along already), mapped
+        back; the result does not depend on the bridge chosen."""
         self._require_valid()
-        if ref is None:
-            return list(self._held_view().faces)
-        if ref not in self.bridges():
+        if ref is not None and ref not in self.bridges():
             raise NotInAngulation(f"{ref} is not a bridge of the angulation")
-        return list(self._view(ref).faces)
+        view = self._held_view() if ref is None else self._view(ref)
+        return [view.cut.face_back(f) for f in view.disk.faces()]
 
     def _require_arc(self, x: ArcClass):
         """Raise NotInAngulation unless x is one of the arcs: in O(1) from
@@ -357,21 +367,28 @@ class AnnulusAngulation(Angulation):
         view, _, new_diagonal = self._twisted(x)
         return not view.cut.encloses(new_diagonal)
 
-    def completions(self, x: ArcClass) -> list[ArcClass]:
-        """The m+1 arcs completing the others, found afresh by the module
-        function ``_completions``, not from a cut view; the others need no
-        input check, as this angulation is valid."""
-        self._require_arc(x)
-        self._require_valid()
-        return _completions(self.config, [a for a in self.arcs if a != x], x)
+    @staticmethod
+    def _completions(
+        cfg: AnnulusConfig, partial: Sequence[ArcClass], removed: ArcClass
+    ) -> list[ArcClass]:
+        """``completions`` without the input check: ``partial``, in
+        canonical order, and ``removed`` must form an angulation.  Cut
+        along the least bridge of ``partial`` (it holds one at least) and
+        split afresh by the disk's ``_completions``."""
+        ref = next(b for b in partial if isinstance(b, Bridge))
+        cut = BridgeCut(cfg, ref)
+        disk_partial = [cut.to_disk(a) for a in partial if a != ref]
+        return [cut.from_disk(d) for d in DiskAngulation._completions(
+            cut.disk, disk_partial, cut.to_disk(removed))]
 
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
-        """Colored quiver with one vertex per arc (canonical order).
+        """Colored quiver with one vertex per arc, in canonical order or in
+        ``order``, which lists each arc once.
 
         Two arcs bounding two distinct common faces contribute arrows from
         both faces, so multiplicities up to 2 occur.
         """
-        return self._read_quiver(order) if order else self._quiver
+        return self._quiver if order is None else self._read_quiver(self._checked_order(order))
 
     def _read_quiver(self, order: Sequence[ArcClass]) -> ColoredQuiver:
         # read from the held view's disk faces: each diagonal stands for
@@ -387,24 +404,10 @@ class AnnulusAngulation(Angulation):
         return quiver_from_faces(self.config.m, len(order), vertex, view.disk.faces())
 
     def to_json_dict(self) -> dict:
-        arcs = []
-        for a in self.arcs:
-            if isinstance(a, Bridge):
-                arcs.append(
-                    {"kind": "bridge", "outer": a.outer, "inner": a.inner,
-                     "winding": a.winding}
-                )
-            elif isinstance(a, OuterChord):
-                arcs.append({"kind": "outer_chord", "start": a.start, "span": a.span})
-            else:
-                arcs.append({"kind": "inner_chord", "start": a.start, "span": a.span})
-        return {
-            "type": "annulus",
-            "m": self.config.m,
-            "p": self.config.p,
-            "q": self.config.q,
-            "arcs": arcs,
-        }
+        cfg = self.config
+        arcs = [{"kind": JSON_KIND[type(a)], **{f: getattr(a, f) for f in a.__match_args__}}
+                for a in self.arcs]
+        return {"type": "annulus", "m": cfg.m, "p": cfg.p, "q": cfg.q, "arcs": arcs}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AnnulusAngulation":
@@ -412,15 +415,11 @@ class AnnulusAngulation(Angulation):
         arcs = []
         for a in data["arcs"]:
             kind = a["kind"]
-            if kind == "bridge":
-                make, fields = Bridge, ("outer", "inner", "winding")
-            elif kind == "outer_chord":
-                make, fields = OuterChord, ("start", "span")
-            elif kind == "inner_chord":
-                make, fields = InnerChord, ("start", "span")
-            else:
+            # a JSON list or object is no kind, and unhashable
+            make = _KIND_CLASS.get(kind) if isinstance(kind, str) else None
+            if make is None:
                 raise ValueError(f"unknown arc kind {kind!r}")
-            arcs.append(make(*(json_int(a[f], f) for f in fields)))
+            arcs.append(make(*(json_int(a[f], f) for f in make.__match_args__)))
         return cls(cfg, arcs)
 
 
@@ -441,22 +440,6 @@ def completions(
     ``violations()`` names it.
     """
     return AnnulusAngulation._completing(cfg, partial, removed)
-
-
-def _completions(
-    cfg: AnnulusConfig, partial: Sequence[ArcClass], removed: ArcClass
-) -> list[ArcClass]:
-    """``completions`` without the input check: ``partial``, in canonical
-    order, and ``removed`` must form an angulation.  The partial set is cut
-    along its least bridge (an angulation has two bridges at least) and
-    split afresh by the disk's ``_completions``."""
-    ref = next(b for b in partial if isinstance(b, Bridge))
-    cut = BridgeCut(cfg, ref)
-    from .disk import _completions as disk_completions
-
-    disk_partial = [cut.to_disk(a) for a in partial if a != ref]
-    return [cut.from_disk(d)
-            for d in disk_completions(cut.disk, disk_partial, cut.to_disk(removed))]
 
 
 class BridgeCut:
@@ -584,31 +567,9 @@ class BridgeCut:
         )
 
 
-def _valid_disk(cut: BridgeCut, diagonal: dict) -> DiskAngulation:
-    """The disk angulation of a valid annulus cut open along a bridge.  It
-    takes its validity from the annulus: noncrossing arcs have noncrossing
-    diagonals, and (m+2)-gon cells stay (m+2)-gons in every cut."""
-    out = DiskAngulation(cut.disk, diagonal.values())
-    out.__dict__["_problems"] = ()
-    return out
-
-
-class CutView:
-    """An angulation cut open along one of its bridges: the cut, the disk
-    diagonal of every other arc, and the disk angulation they form."""
-
-    # a plain class: a frozen dataclass costs about 1 ms at every import
-    def __init__(self, cut: BridgeCut, diagonal: dict[ArcClass, Diagonal],
-                 disk: DiskAngulation):
-        self.cut = cut
-        self.diagonal = diagonal
-        self.disk = disk
-
-    @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """The disk faces mapped back to the annulus, for the public
-        ``faces()``; the quiver reads the disk faces themselves."""
-        return tuple(self.cut.face_back(f) for f in self.disk.faces())
+# An angulation cut open along one of its bridges: the BridgeCut, the disk
+# diagonal of every other arc, and the disk angulation they form
+CutView = namedtuple("CutView", "cut diagonal disk")
 
 
 @dataclass(frozen=True)

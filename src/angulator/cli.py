@@ -224,8 +224,9 @@ def build_parser(guard: str) -> argparse.ArgumentParser:
     p = sub.add_parser("mutate", help="mutate a colored quiver at a vertex")
     p.add_argument("input", help="path, inline JSON, or - for stdin")
     p.add_argument("-k", "--vertex", type=int, required=True)
-    p.add_argument("--inverse", action="store_true")
-    p.add_argument("--procedural", action="store_true")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--inverse", action="store_true")
+    how.add_argument("--procedural", action="store_true")
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = sub.add_parser("flip", help="flip an angulation at an arc index")

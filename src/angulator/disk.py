@@ -139,13 +139,13 @@ class Angulation:
     the new arc alone, in O(r).
 
     A model class defines ``_read_quiver`` (its quiver in a given arc
-    order) and ``_require_arc`` (the ``NotInAngulation`` check, in O(1)
-    from what the angulation holds), and ``violations``, ``twist``,
-    ``flip``, ``completions``, ``faces`` and ``quiver_of`` in its own
-    namespace, where the span tracer of ``perfbench`` finds them.  The
-    module functions ``completions`` check their input as the angulation
-    it completes, through ``_completing``.  A disk has no Dehn twist, so
-    only the annulus has ``rebased()``.
+    order), ``_require_arc`` (the ``NotInAngulation`` check, in O(1) from
+    what the angulation holds) and ``_completions`` (split afresh), and
+    ``violations``, ``twist``, ``flip``, ``faces`` and ``quiver_of`` in
+    its own namespace, where the span tracer of ``perfbench`` finds them.
+    The module functions ``completions`` check their input as the
+    angulation it completes, through ``_completing``.  A disk has no Dehn
+    twist, so only the annulus has ``rebased()``.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
@@ -216,6 +216,14 @@ class Angulation:
             raise InvalidAngulation(f"{removed} is still present")
         return cls(config, [removed, *partial]).completions(removed)
 
+    def completions(self, x) -> list:
+        """The m+1 arcs completing the others, found afresh by the model's
+        ``_completions``, not from what the angulation holds; the others
+        need no input check, as this angulation is valid."""
+        self._require_arc(x)
+        self._require_valid()
+        return self._completions(self.config, [a for a in self.arcs if a != x], x)
+
     def can_flip(self, x) -> bool:
         """False iff flip(x) would leave the model; a disk flip never does."""
         self._require_arc(x)
@@ -230,6 +238,16 @@ class Angulation:
     def _quiver(self) -> ColoredQuiver:
         """quiver_of() in canonical order, read once."""
         return self._read_quiver(self.arcs)
+
+    def _checked_order(self, order: Sequence) -> Sequence:
+        """``order``, checked to list every arc once: NotInAngulation names
+        an entry that is no arc, and ValueError a repeat."""
+        for x in order:
+            self._require_arc(x)
+        if not len(set(order)) == len(order) == len(self.arcs):
+            raise ValueError(
+                f"the order {list(order)} is not a permutation of the {self._noun}")
+        return order
 
 
 def once_per_arc(flip):
@@ -371,17 +389,30 @@ class DiskAngulation(Angulation):
         out.__dict__.update(_faces=kept + halves, _sides=table)
         return out
 
-    def completions(self, d: Diagonal) -> list[Diagonal]:
-        """The m+1 diagonals completing the others, found afresh by the
-        module function ``_completions``, not from the faces; the others
-        need no input check, as this angulation is valid."""
-        self._require_arc(d)
-        self._require_valid()
-        return _completions(self.config, [e for e in self.arcs if e != d], d)
+    @staticmethod
+    def _completions(
+        cfg: DiskConfig, partial: Sequence[Diagonal], removed: Diagonal
+    ) -> list[Diagonal]:
+        """``completions`` without the input check: ``partial`` and
+        ``removed`` must form an angulation.  The partial set is split
+        afresh."""
+        cycle = list(range(1, cfg.sides + 1))
+        chords = [frozenset((d.a, d.b)) for d in partial]
+        big = [r for r in split_regions(cycle, chords) if len(r) == 2 * cfg.m + 2]
+        assert len(big) == 1, "an almost-complete angulation has one open region"
+        region = tuple(big[0])
+        out = []
+        cur = removed
+        for _ in range(cfg.m + 1):
+            cur = region_twist(region, cur, cfg.m)
+            out.append(cur)
+        assert out[-1] == removed
+        return out
 
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
-        """Colored quiver with one vertex per diagonal (canonical order)."""
-        return self._read_quiver(order) if order else self._quiver
+        """Colored quiver with one vertex per diagonal, in canonical order
+        or in ``order``, which lists each diagonal once."""
+        return self._quiver if order is None else self._read_quiver(self._checked_order(order))
 
     def _read_quiver(self, order: Sequence[Diagonal]) -> ColoredQuiver:
         self._require_valid()
@@ -437,25 +468,6 @@ def completions(
     names it.
     """
     return DiskAngulation._completing(cfg, partial, removed)
-
-
-def _completions(
-    cfg: DiskConfig, partial: Sequence[Diagonal], removed: Diagonal
-) -> list[Diagonal]:
-    """``completions`` without the input check: ``partial`` and ``removed``
-    must form an angulation.  The partial set is split afresh."""
-    cycle = list(range(1, cfg.sides + 1))
-    chords = [frozenset((d.a, d.b)) for d in partial]
-    big = [r for r in split_regions(cycle, chords) if len(r) == 2 * cfg.m + 2]
-    assert len(big) == 1, "an almost-complete angulation has one open region"
-    region = tuple(big[0])
-    out = []
-    cur = removed
-    for _ in range(cfg.m + 1):
-        cur = region_twist(region, cur, cfg.m)
-        out.append(cur)
-    assert out[-1] == removed
-    return out
 
 
 @dataclass(frozen=True)

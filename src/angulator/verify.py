@@ -172,21 +172,22 @@ def check_flip_mutation(cases, suite="flip-mutation") -> VerificationReport:
 
 
 def check_flip_cycle(cases, suite="flip-cycle") -> VerificationReport:
-    """Flipping m+1 times at one position is the identity, and the position
-    admits exactly m+1 completions."""
+    """Flipping m+1 times at one position is the identity, and its m+1
+    completions, found afresh, are the arcs the flips put there, in order."""
     report = VerificationReport(suite)
     with _Timer(report):
         for angulation, arc in cases:
             m = angulation.config.m
-            comps = angulation.completions(arc)
-            if not report.passes(len(comps) == m + 1 and comps[-1] == arc):
-                report.record(f"{angulation} completions at {arc}",
-                              f"{m + 1} ending with {arc}", repr(comps))
-            cur, cur_arc = angulation, arc
+            cur, cur_arc, chain = angulation, arc, []
             for _ in range(m + 1):
                 nxt = cur.flip(cur_arc)
                 cur_arc = _new_arc(cur, nxt)
+                chain.append(cur_arc)
                 cur = nxt
+            comps = angulation.completions(arc)
+            if not report.passes(comps == chain):
+                report.record(f"{angulation} completions at {arc}",
+                              repr(chain), repr(comps))
             if not report.passes(cur == angulation):
                 report.record(f"{angulation} flip^{m + 1} at {arc}",
                               repr(angulation), repr(cur))
@@ -424,10 +425,10 @@ def check_annulus_maximal(
                 else:
                     if cut.disk.is_m_diagonal(cut.to_disk(arc)):
                         later.append(arc)
-            chosen = sorted([bridge, *later], key=ann.arc_sort_key)
+            result = ann.AnnulusAngulation(cfg, [bridge, *later])
+            chosen = list(result.arcs)
             if not report.passes(len(chosen) == cfg.rank):
                 report.record(f"maximal extension {chosen}", cfg.rank, len(chosen))
-            result = ann.AnnulusAngulation(cfg, chosen)
             if not report.passes(result.is_valid()):
                 report.record(f"maximal extension {chosen}", "[]",
                               repr(result.violations()))

@@ -27,6 +27,7 @@ from angulator.disk import (
     crosses as disk_crosses,
 )
 from angulator.faces import quiver_from_faces
+from angulator.quiver import ColoredQuiver
 from angulator.verify import random_walk
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
@@ -467,6 +468,21 @@ class TestQuiverOf:
                     assert ang.quiver_of() == quiver_from_faces(
                         cfg.m, len(vertex), vertex, ang.faces(ref))
 
+    def test_order_lists_every_arc_once(self):
+        ang = initial_bridges(C43)
+        arcs = list(ang.arcs)
+        n = len(arcs)
+        place = [n - 1, *range(n - 1)]  # arc k moves to place[k]
+        assert ang.quiver_of(arcs[1:] + arcs[:1]) == ColoredQuiver(C43.m, n, {
+            (place[i], place[j], c): v for (i, j, c), v in ang.quiver_of().arrows()})
+        for order in (arcs[:1], arcs[:-1] + arcs[:1], [], arcs + arcs[:1]):
+            with pytest.raises(ValueError, match="not a permutation of the arcs"):
+                ang.quiver_of(order)
+        # a foreign bridge, and a chord that is no arc of the angulation
+        for foreign in (Bridge(2, 1, 0), OuterChord(1, 3)):
+            with pytest.raises(NotInAngulation):
+                ang.quiver_of(arcs[:-1] + [foreign])
+
 
 WRONG_CELLS = {
     "type": "annulus", "m": 3, "p": 2, "q": 1,
@@ -658,6 +674,15 @@ class TestRebase:
             ang.rebased()
 
 
+ALL_KINDS_JSON = (
+    '{"type": "annulus", "m": 2, "p": 2, "q": 2, "arcs": ['
+    '{"kind": "bridge", "outer": 2, "inner": 4, "winding": 0}, '
+    '{"kind": "bridge", "outer": 3, "inner": 3, "winding": 1}, '
+    '{"kind": "outer_chord", "start": 3, "span": 3}, '
+    '{"kind": "inner_chord", "start": 4, "span": 3}]}'
+)
+
+
 class TestSerialization:
     def test_round_trip(self):
         ang = initial_bridges(C43)
@@ -678,6 +703,14 @@ class TestSerialization:
         assert AnnulusAngulation.from_json_dict(
             {"type": "annulus", "m": 2, "p": 4, "q": 3, "arcs": [data]}
         ).arcs == (OuterChord(1, 3),)
+
+    def test_every_kind_pinned(self):
+        # a valid angulation holding a bridge, an outer and an inner chord
+        ang = AnnulusAngulation(AnnulusConfig(2, 2, 2), [
+            Bridge(2, 4, 0), Bridge(3, 3, 1), OuterChord(3, 3), InnerChord(4, 3)])
+        assert ang.is_valid()
+        assert json.dumps(ang.to_json_dict()) == ALL_KINDS_JSON
+        assert AnnulusAngulation.from_json_dict(json.loads(ALL_KINDS_JSON)) == ang
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -186,6 +186,13 @@ class TestUsageErrors:
         monkeypatch.setenv("ANGULATOR_GUARD", "x")
         assert run(capsys, "validate", PENTAGON_FAN)[0] == 0
 
+    def test_inverse_and_procedural_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mutate", QUIVER_M2, "-k", "0", "--inverse", "--procedural"])
+        assert exc.value.code == 2
+        assert "argument --procedural: not allowed with argument --inverse" \
+            in capsys.readouterr().err
+
     def test_negative_steps_and_guard(self, capsys):
         self.expect_usage_error(capsys, "verify", "--steps", "-1")
         self.expect_usage_error(capsys, "verify", "--guard", "-3")
@@ -361,6 +368,14 @@ class TestViolationMessages:
         code, out, err = run(capsys, "validate", json.dumps(data))
         assert (code, out) == (3, "")
         assert err == "error: invalid angulation: " + "; ".join(expected) + "\n"
+
+
+    @pytest.mark.parametrize("kind", ["loop", ["x"]], ids=repr)
+    def test_unknown_arc_kind(self, capsys, kind):
+        data = _annulus(_bridge(1, 1, 0), {"kind": kind, "start": 1, "span": 3})
+        code, out, err = run(capsys, "validate", json.dumps(data))
+        assert (code, out) == (2, "")
+        assert err == f"error: malformed angulation JSON: unknown arc kind {kind!r}\n"
 
 
 class TestLargeAngulation:

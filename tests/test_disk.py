@@ -560,6 +560,24 @@ class TestQuiverOf:
         # middle face (7,8)(8,1)(1,4)(4,7) links all three pairwise
         assert sum(v for _, v in q.arrows()) == 6
 
+    def test_order_lists_every_diagonal_once(self):
+        fan = initial_fan(DiskConfig(1, 6))  # (1,3), (1,4), (1,5)
+        d13, d14, d15 = fan.arcs
+        # on the fresh fan, which scans its diagonals, and on a flip result
+        # flipped back, which holds its twist table
+        for ang in (fan, fan.flip(d14).flip(Diagonal(3, 5))):
+            assert ang == fan
+            canonical, place = ang.quiver_of(), [1, 2, 0]
+            assert ang.quiver_of([d15, d13, d14]) == ColoredQuiver(1, 3, {
+                (place[i], place[j], c): v for (i, j, c), v in canonical.arrows()})
+            for order in ([d13], [d13, d13, d15], [], [d13, d14, d15, d15]):
+                with pytest.raises(ValueError, match="not a permutation of the diagonals"):
+                    ang.quiver_of(order)
+            with pytest.raises(NotInAngulation):
+                ang.quiver_of([d13, d14, Diagonal(2, 5)])
+            with pytest.raises(NotInAngulation):  # a plain tuple is no diagonal
+                ang.quiver_of([(1, 3), (1, 4), (1, 5)])
+
 
 class TestEars:
     def test_octagon(self):

@@ -429,9 +429,9 @@ class TestAngulationInterface:
     def test_flip_cycle_uses_the_module_completions(self, monkeypatch):
         # the unchecked function the public one calls after its input check
         calls = {}
-        for module in (disk, annulus):
-            monkeypatch.setattr(module, "_completions",
-                                counted(calls, module.__name__, module._completions))
+        for cls in (DiskAngulation, AnnulusAngulation):
+            monkeypatch.setattr(cls, "_completions", staticmethod(
+                counted(calls, cls.__module__, cls._completions)))
         cases = list(random_walk(DiskConfig(2, 10), 6, 1))
         assert check_flip_cycle(cases).passed
         assert calls == {"angulator.disk": 6}
@@ -439,6 +439,25 @@ class TestAngulationInterface:
         cases = list(random_walk(AnnulusConfig(2, 2, 1), 5, 1))
         assert check_flip_cycle(cases).passed
         assert calls == {"angulator.annulus": 5, "angulator.disk": 5}
+
+    @pytest.mark.parametrize("cfg", [DiskConfig(2, 10), AnnulusConfig(2, 2, 1)], ids=repr)
+    def test_flip_cycle_compares_the_completions_with_the_flips(self, cfg, monkeypatch):
+        # m + 1 completions that end with the removed arc, but not in the
+        # order the flips put them in place, fail every completions case
+        cls = DiskAngulation if isinstance(cfg, DiskConfig) else AnnulusAngulation
+        raw = cls._completions
+
+        def swapped(*args):
+            out = raw(*args)
+            return out[1:2] + out[:1] + out[2:]
+
+        cases = list(random_walk(cfg, 6, 1))
+        assert check_flip_cycle(cases).passed
+        monkeypatch.setattr(cls, "_completions", staticmethod(swapped))
+        report = check_flip_cycle(cases)
+        assert report.cases == 2 * len(cases)
+        assert [f.fingerprint for f in report.failures] == [
+            f"{ang} completions at {arc}" for ang, arc in cases]
 
     @pytest.mark.parametrize("cfg", [DiskConfig(2, 10), AnnulusConfig(2, 2, 1),
                                      AnnulusConfig(1, 4, 3)], ids=repr)
