@@ -2,8 +2,9 @@
 
 Subcommands: mutate, flip, quiver, enumerate, verify, validate.  Models are
 exchanged as JSON (see README for the schemas); DOT is output-only.  Exit
-statuses: 0 success, 1 verification failure, 2 malformed JSON or bad usage,
-3 invalid model, 4 index out of range, 5 enumeration guard exceeded.
+statuses: 0 success, 1 verification failure, 2 malformed JSON, bad usage
+or an output file that cannot be written, 3 invalid model, 4 index out of
+range, 5 enumeration guard exceeded.
 The ANGULATOR_GUARD environment variable overrides the enumeration guard.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -26,6 +28,8 @@ EXIT_BAD_JSON = 2
 EXIT_INVALID = 3
 EXIT_RANGE = 4
 EXIT_GUARD = 5
+
+MODELS = {"disk": disk.DiskAngulation, "annulus": ann.AnnulusAngulation}
 
 
 class CliError(Exception):
@@ -74,15 +78,11 @@ def _load_quiver(data: dict) -> ColoredQuiver:
 
 def _load_angulation(data: dict):
     kind = data.get("type")
+    model = MODELS.get(kind) if isinstance(kind, str) else None
+    if model is None:
+        raise CliError(EXIT_BAD_JSON, f"unknown model type {kind!r}")
     try:
-        if kind == "disk":
-            angulation = disk.DiskAngulation.from_json_dict(data)
-        elif kind == "annulus":
-            angulation = ann.AnnulusAngulation.from_json_dict(data)
-        else:
-            raise CliError(EXIT_BAD_JSON, f"unknown model type {kind!r}")
-    except CliError:
-        raise
+        angulation = model.from_json_dict(data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(EXIT_BAD_JSON, f"malformed angulation JSON: {exc}")
     try:
@@ -161,26 +161,37 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
 def _open_output(path: str | None, what: str):
-    """``path`` opened for writing, or a context of None without a path.
-    A command opens it before its work, so that an unwritable path exits 2
-    before anything is computed or printed."""
+    """A text buffer that is written to ``path`` when the block ends, or
+    None without a path.  The file is opened first, so that an unwritable
+    path exits 2 before anything is computed or printed; a failed write or
+    close exits 2 with the same message."""
     if not path:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w")
+        handle = open(path, "w")
+    except OSError as exc:
+        raise CliError(EXIT_BAD_JSON, f"cannot write {what}: {exc}")
+    buffer = io.StringIO()
+    try:
+        yield buffer
+    except BaseException:
+        handle.close()
+        raise
+    try:
+        with handle:
+            handle.write(buffer.getvalue())
     except OSError as exc:
         raise CliError(EXIT_BAD_JSON, f"cannot write {what}: {exc}")
 
 
 def cmd_verify(args) -> int:
     with _open_output(args.timings, "timings") as timings:
-        try:
-            reports = run_suite(
-                args.suite, seed=args.seed, steps=args.steps, guard=args.guard
-            )
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_JSON, str(exc))
+        reports = run_suite(
+            args.suite, seed=args.seed, steps=args.steps, guard=args.guard
+        )
         if timings is not None:
             entries = [
                 {"suite": r.suite, "cases": r.cases, "elapsed": r.elapsed}

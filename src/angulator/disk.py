@@ -108,6 +108,20 @@ class DiskConfig:
         pairs = itertools.combinations(range(1, self.sides + 1), 2)
         return [d for d in itertools.starmap(Diagonal, pairs) if self.is_m_diagonal(d)]
 
+    @cached_property
+    def crossing_table(self) -> tuple[list[Diagonal], list[int]]:
+        """The m-diagonals in canonical order and, for each index i, the
+        bitmask of the indices of the diagonals crossing diagonal i: built
+        once per object, from ``crosses`` alone, so the oracles using it
+        stay independent of the flip machinery."""
+        diagonals = self.all_diagonals()
+        masks = [0] * len(diagonals)
+        for i, j in itertools.combinations(range(len(diagonals)), 2):
+            if crosses(diagonals[i], diagonals[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+        return diagonals, masks
+
     def is_m_ear(self, d: Diagonal) -> bool:
         """True iff d cuts off a single (m+2)-gon."""
         diff = d.b - d.a
@@ -298,8 +312,7 @@ class DiskAngulation(Angulation):
         # the public callers check validity, because _flipped() sets this
         # directly for its result
         cycle = list(range(1, self.config.sides + 1))
-        chords = [frozenset((d.a, d.b)) for d in self.arcs]
-        return tuple(map(self._face, split_regions(cycle, chords)))
+        return tuple(map(self._face, split_regions(cycle, self.arcs)))
 
     def faces(self) -> list[Face]:
         """The r+1 cells, each an (m+2)-gon with sides in clockwise order;
@@ -397,8 +410,7 @@ class DiskAngulation(Angulation):
         ``removed`` must form an angulation.  The partial set is split
         afresh."""
         cycle = list(range(1, cfg.sides + 1))
-        chords = [frozenset((d.a, d.b)) for d in partial]
-        big = [r for r in split_regions(cycle, chords) if len(r) == 2 * cfg.m + 2]
+        big = [r for r in split_regions(cycle, partial) if len(r) == 2 * cfg.m + 2]
         assert len(big) == 1, "an almost-complete angulation has one open region"
         region = tuple(big[0])
         out = []
@@ -523,22 +535,6 @@ def _check_guard(cfg: DiskConfig, guard: int):
         )
 
 
-def _crossing_table(cfg: DiskConfig) -> tuple[list[Diagonal], list[int]]:
-    """The m-diagonals in canonical order and, for each index i, the
-    bitmask of the indices of the diagonals crossing diagonal i.
-
-    Built from ``crosses`` alone, so the oracles using it stay independent
-    of the flip machinery.
-    """
-    diagonals = cfg.all_diagonals()
-    masks = [0] * len(diagonals)
-    for i, j in itertools.combinations(range(len(diagonals)), 2):
-        if crosses(diagonals[i], diagonals[j]):
-            masks[i] |= 1 << j
-            masks[j] |= 1 << i
-    return diagonals, masks
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, in increasing order."""
     while mask:
@@ -558,7 +554,7 @@ def enumerate_angulations(
     the chosen set when its bit is clear.
     """
     _check_guard(cfg, guard)
-    diagonals, cross_mask = _crossing_table(cfg)
+    diagonals, cross_mask = cfg.crossing_table
     rank = cfg.rank
     full = (1 << len(diagonals)) - 1
     found: list[DiskAngulation] = []
@@ -592,7 +588,7 @@ def maximal_set_sizes(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> dict[int, 
     verification suite asserts against this histogram.
     """
     _check_guard(cfg, guard)
-    diagonals, cross_mask = _crossing_table(cfg)
+    diagonals, cross_mask = cfg.crossing_table
     full = (1 << len(diagonals)) - 1
     sizes: dict[int, int] = {}
 
@@ -650,7 +646,7 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
     twist alone, so only an angulation not seen before is built by a flip.
     """
     _check_guard(cfg, guard)
-    bit = {d: 1 << i for i, d in enumerate(cfg.all_diagonals())}
+    bit = {d: 1 << i for i, d in enumerate(cfg.crossing_table[0])}
     start = initial_fan(cfg)
     key = sum(bit[d] for d in start.arcs)
     index = {key: 0}

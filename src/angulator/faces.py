@@ -25,16 +25,16 @@ class Face:
         return len(self.sides)
 
 
-def split_regions(cycle: Sequence[Hashable], chords: Iterable[frozenset]) -> list[list]:
+def split_regions(cycle: Sequence[Hashable], chords: Iterable[Sequence]) -> list[list]:
     """Vertex cycles of the regions a chord set cuts a polygon into.
 
     ``cycle`` lists the polygon's vertices in clockwise order; every chord is
-    a frozenset pair of cycle members.  Chords must be pairwise noncrossing.
-    The first chord splits the polygon in two; the regions of the side
-    from its first endpoint (in cycle order) to its second come first,
-    then those of the other side, each split by its chords alike.  A work
-    stack stands for the recursion, so the chord count is not bounded by
-    the interpreter's recursion limit.
+    a pair of cycle members, such as a ``Diagonal``.  Chords must be
+    pairwise noncrossing.  The first chord splits the polygon in two; the
+    regions of the side from its first endpoint (in cycle order) to its
+    second come first, then those of the other side, each split by its
+    chords alike.  A work stack stands for the recursion, so the chord
+    count is not bounded by the interpreter's recursion limit.
     """
     out = []
     stack = [(list(cycle), list(chords))]
@@ -50,7 +50,7 @@ def split_regions(cycle: Sequence[Hashable], chords: Iterable[frozenset]) -> lis
         set1 = set(side1)
         in1, in2 = [], []
         for ch in chords[1:]:
-            u, v = tuple(ch)
+            u, v = ch
             if u in set1 and v in set1:
                 in1.append(ch)
             else:

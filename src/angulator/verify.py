@@ -68,6 +68,14 @@ class VerificationReport:
         if not self.passes(ok):
             self.record(fingerprint, expected, actual)
 
+    def __enter__(self):
+        # ``elapsed`` holds minus the start time until the block ends
+        self.elapsed = -time.perf_counter()
+        return self
+
+    def __exit__(self, *exc):
+        self.elapsed += time.perf_counter()
+
     def to_json_dict(self, include_elapsed: bool = True) -> dict:
         out = {
             "suite": self.suite,
@@ -81,18 +89,6 @@ class VerificationReport:
         if include_elapsed:
             out["elapsed"] = self.elapsed
         return out
-
-
-class _Timer:
-    def __init__(self, report):
-        self.report = report
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self.report
-
-    def __exit__(self, *exc):
-        self.report.elapsed = time.perf_counter() - self.t0
 
 
 def _new_arc(before, after):
@@ -144,21 +140,12 @@ def random_walk(cfg, steps: int, seed: int):
         angulation = angulation.flip(arc)
 
 
-def all_disk_cases(cfg: DiskConfig, guard: int = DEFAULT_GUARD):
-    """Every (angulation, diagonal) pair of a configuration."""
-    _, angulations = disk.enumerate_angulations(cfg, guard=guard, collect=True)
-    for angulation in angulations:
-        for d in angulation.arcs:
-            yield angulation, d
-
-
 # -- suites ----------------------------------------------------------------
 
 
 def check_flip_mutation(cases, suite="flip-mutation") -> VerificationReport:
     """quiver_of(flip(D, x)) == mutate(quiver_of(D), index(x)) bit-exactly."""
-    report = VerificationReport(suite)
-    with _Timer(report):
+    with VerificationReport(suite) as report:
         for angulation, arc in cases:
             arcs = angulation.arcs
             k = arcs.index(arc)
@@ -174,8 +161,7 @@ def check_flip_mutation(cases, suite="flip-mutation") -> VerificationReport:
 def check_flip_cycle(cases, suite="flip-cycle") -> VerificationReport:
     """Flipping m+1 times at one position is the identity, and its m+1
     completions, found afresh, are the arcs the flips put there, in order."""
-    report = VerificationReport(suite)
-    with _Timer(report):
+    with VerificationReport(suite) as report:
         for angulation, arc in cases:
             m = angulation.config.m
             cur, cur_arc, chain = angulation, arc, []
@@ -197,8 +183,7 @@ def check_flip_cycle(cases, suite="flip-cycle") -> VerificationReport:
 def check_axioms(cases, suite="axioms") -> VerificationReport:
     """Angulation quivers and their mutations pass the three axioms, and
     the procedural mutation agrees with the closed formula."""
-    report = VerificationReport(suite)
-    with _Timer(report):
+    with VerificationReport(suite) as report:
         for angulation, arc in cases:
             q = angulation.quiver_of()
             k = angulation.arcs.index(arc)
@@ -218,8 +203,8 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
 
 
 class DiskOracles:
-    """The count oracles of one disk configuration, each run at most once
-    and shared by check_counts and check_connectivity."""
+    """The flip-free oracles of one disk configuration, each run at most
+    once and shared by all the reports of a ``run_suite`` call."""
 
     def __init__(self, cfg: DiskConfig, guard: int = DEFAULT_GUARD):
         self.cfg = cfg
@@ -238,14 +223,11 @@ class DiskOracles:
         return disk.maximal_set_sizes(self.cfg, guard=self.guard)
 
 
-def check_counts(
-    cfg: DiskConfig, guard: int = DEFAULT_GUARD, oracles: DiskOracles | None = None
-) -> VerificationReport:
+def check_counts(oracles: DiskOracles) -> VerificationReport:
     """Backtracking count == Fuss-Catalan closed form == flip-graph BFS;
     every maximal noncrossing set has exactly rank elements."""
-    report = VerificationReport(f"counts m={cfg.m} S={cfg.sides}")
-    oracles = oracles or DiskOracles(cfg, guard)
-    with _Timer(report):
+    cfg = oracles.cfg
+    with VerificationReport(f"counts m={cfg.m} S={cfg.sides}") as report:
         count, _ = oracles.enumerated
         closed = fuss_catalan(cfg.m, cfg.rank + 1)
         report.check(count == closed, "backtracking vs closed form", closed, count)
@@ -260,9 +242,7 @@ def check_counts(
     return report
 
 
-def check_connectivity(
-    cfg: DiskConfig, guard: int = DEFAULT_GUARD, oracles: DiskOracles | None = None
-) -> VerificationReport:
+def check_connectivity(oracles: DiskOracles) -> VerificationReport:
     """The flip graph is connected and reaches every enumerated angulation.
 
     The "connected" case holds by construction: ``flip_graph`` builds the
@@ -270,9 +250,8 @@ def check_connectivity(
     other case, that every enumerated angulation is among the nodes,
     together with the equal counts that ``check_counts`` asserts.
     """
-    report = VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}")
-    oracles = oracles or DiskOracles(cfg, guard)
-    with _Timer(report):
+    cfg = oracles.cfg
+    with VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}") as report:
         graph = oracles.graph
         report.check(graph.is_connected(), "connected", True, False)
         _, angulations = oracles.enumerated
@@ -285,8 +264,7 @@ def check_connectivity(
 
 def check_gabriel(cfg: DiskConfig) -> VerificationReport:
     """The color-0 quiver of the initial fan is a linear path."""
-    report = VerificationReport(f"gabriel m={cfg.m} S={cfg.sides}")
-    with _Timer(report):
+    with VerificationReport(f"gabriel m={cfg.m} S={cfg.sides}") as report:
         pq = disk.initial_fan(cfg).quiver_of().gabriel()
         if not report.passes(is_linear_path(pq)):
             report.record("gabriel(fan) linear path", "path", repr(pq))
@@ -340,11 +318,10 @@ def _check_cut(report, angulation, arc, transport, pieces, pull_back=None):
     return placed
 
 
-def check_cut_transport(cfg, cases, suite=None) -> VerificationReport:
+def check_cut_transport(cfg, cases) -> VerificationReport:
     """Transport along cuts preserves validity and the crossing relation
     and commutes with flips of arcs disjoint from the cut arc."""
-    report = VerificationReport(suite or f"cut-transport {cfg}")
-    with _Timer(report):
+    with VerificationReport(f"cut-transport {cfg}") as report:
         for angulation, _ in cases:
             ears = [a for a in angulation.arcs if cfg.is_m_ear(a)]
             if isinstance(cfg, DiskConfig):
@@ -379,9 +356,8 @@ def check_annulus_maximal(
     extension steps must keep every cell size 2 (mod m); the maximal sets
     reached this way are exactly the (m+2)-angulations.
     """
-    report = VerificationReport(f"maximal-sets {cfg}")
     window = cfg.p + cfg.q + 3
-    with _Timer(report):
+    with VerificationReport(f"maximal-sets {cfg}") as report:
         rng = random.Random(seed)
         pool = []
         for o in range(1, cfg.outer_len + 1):
@@ -438,14 +414,6 @@ def check_annulus_maximal(
 # -- the built-in configuration matrix --------------------------------------
 
 
-def _compat_cases(cfg, steps, seed, guard):
-    if isinstance(cfg, DiskConfig) and (
-        fuss_catalan(cfg.m, cfg.rank + 1) <= COMPAT_ENUM_CAP
-    ):
-        return list(all_disk_cases(cfg, guard))
-    return list(random_walk(cfg, steps, seed))
-
-
 def run_suite(
     suite: str,
     seed: int = 0,
@@ -457,9 +425,15 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}")
     reports = []
     configs = DISK_MATRIX + ANNULUS_MATRIX
+    # one store per disk, released after the last report that reads it
+    stores = {cfg: DiskOracles(cfg, guard) for cfg in DISK_MATRIX}
     if suite in ("compat", "all"):
         for cfg in configs:
-            cases = _compat_cases(cfg, steps, seed, guard)
+            oracles = stores.get(cfg) if suite == "all" else stores.pop(cfg, None)
+            if oracles is None or fuss_catalan(cfg.m, cfg.rank + 1) > COMPAT_ENUM_CAP:
+                cases = list(random_walk(cfg, steps, seed))
+            else:  # every angulation of a small disk with every diagonal
+                cases = [(a, d) for a in oracles.enumerated[1] for d in a.arcs]
             label = f"m={cfg.m} " + (
                 f"S={cfg.sides}" if isinstance(cfg, DiskConfig)
                 else f"(p,q)=({cfg.p},{cfg.q})"
@@ -469,9 +443,9 @@ def run_suite(
             reports.append(check_axioms(cases, f"axioms {label}"))
     if suite in ("counts", "all"):
         for cfg in DISK_MATRIX:
-            oracles = DiskOracles(cfg, guard)
-            reports.append(check_counts(cfg, guard, oracles))
-            reports.append(check_connectivity(cfg, guard, oracles))
+            oracles = stores.pop(cfg)
+            reports.append(check_counts(oracles))
+            reports.append(check_connectivity(oracles))
             reports.append(check_gabriel(cfg))
         for cfg in ANNULUS_MATRIX:
             reports.append(
@@ -480,7 +454,5 @@ def run_suite(
     if suite in ("cut", "all"):
         for cfg in configs:
             cases = list(random_walk(cfg, min(steps, 200), seed))
-            reports.append(
-                check_cut_transport(cfg, cases, f"cut-transport {cfg}")
-            )
+            reports.append(check_cut_transport(cfg, cases))
     return reports

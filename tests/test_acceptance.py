@@ -12,7 +12,7 @@ import pytest
 from angulator.annulus import AnnulusConfig
 from angulator.disk import DiskConfig, enumerate_angulations, flip_graph, maximal_set_sizes
 from angulator.verify import (
-    all_disk_cases,
+    DiskOracles,
     check_annulus_maximal,
     check_axioms,
     check_connectivity,
@@ -50,7 +50,10 @@ def _report_line(name, ok, elapsed, detail=""):
 
 @pytest.fixture(scope="module")
 def disk_cases():
-    return {cfg: list(all_disk_cases(cfg)) for cfg in DISK_CONFIGS}
+    return {
+        cfg: [(a, d) for a in enumerate_angulations(cfg, collect=True)[1] for d in a.arcs]
+        for cfg in DISK_CONFIGS
+    }
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +123,7 @@ def test_criterion_4_axioms_and_procedural(disk_cases, annulus_cases):
 
 def test_criterion_5_connectivity():
     t0 = time.perf_counter()
-    reports = [check_connectivity(cfg) for cfg in DISK_CONFIGS]
+    reports = [check_connectivity(DiskOracles(cfg)) for cfg in DISK_CONFIGS]
     elapsed = time.perf_counter() - t0
     bad = [f for r in reports for f in r.failures]
     _report_line("5 (flip graphs connected)", not bad, elapsed)

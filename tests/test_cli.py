@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import time
 from unittest import mock
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angulator.annulus import AnnulusAngulation, AnnulusConfig, initial_bridges
-from angulator import cli
+from angulator import cli, verify
 from angulator.cli import main
-from angulator.disk import DiskAngulation, DiskConfig, initial_fan
+from angulator.disk import DiskAngulation, DiskConfig, NotInAngulation, initial_fan
 
 PENTAGON_FAN = json.dumps(
     {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 4]]}
@@ -38,6 +39,10 @@ ANNULUS_11 = json.dumps(
         ],
     }
 )
+
+# a device on which every write fails with ENOSPC
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="no /dev/full")
 
 
 def run(capsys, *argv):
@@ -359,6 +364,16 @@ VIOLATIONS = {
 }
 
 
+class TestModelType:
+    @pytest.mark.parametrize("kind", ["sphere", ["disk"], {"disk": 1}, None, 3],
+                             ids=repr)
+    def test_unknown_model_type_exit_2(self, capsys, kind):
+        bad = with_field(PENTAGON_FAN, ["type"], kind)
+        for argv in (["validate"], ["quiver"], ["flip", "--arc", "0"]):
+            code, out, err = run(capsys, argv[0], bad, *argv[1:])
+            assert (code, out, err) == (2, "", f"error: unknown model type {kind!r}\n")
+
+
 class TestViolationMessages:
     @pytest.mark.parametrize("case", list(VIOLATIONS))
     def test_messages(self, capsys, case):
@@ -414,6 +429,14 @@ class TestEnumerate:
         code, out, err = run(capsys, "enumerate", "--m", "1", "--sides", "5",
                              "--dot", str(tmp_path / where))
         assert code == 2 and out == "" and "error: cannot write DOT:" in err
+
+    @needs_dev_full
+    def test_failed_dot_write_exit_2(self, capsys):
+        # the count is printed before the graph is written
+        code, out, err = run(capsys, "enumerate", "--m", "2", "--sides", "8",
+                             "--dot", "/dev/full")
+        assert code == 2 and out == "12\n"
+        assert err.startswith("error: cannot write DOT: [Errno 28]")
 
     def test_reads_env_guard(self, capsys, monkeypatch):
         monkeypatch.setenv("ANGULATOR_GUARD", "3")
@@ -475,6 +498,23 @@ class TestVerifyCmd:
         code, out, err = run(capsys, "verify", "--suite", "cut", "--steps", "3",
                              "--timings", str(target))
         assert code == 2 and out == "" and "cannot write timings" in err
+
+    @needs_dev_full
+    def test_failed_timings_write_exit_2(self, capsys):
+        # the file is closed before the report is printed
+        code, out, err = run(capsys, "verify", "--suite", "cut", "--steps", "2",
+                             "--timings", "/dev/full")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write timings: [Errno 28]")
+
+    def test_fault_inside_a_suite_propagates(self, monkeypatch):
+        # the program's own NotInAngulation is no usage error
+        def fault(cfg):
+            raise NotInAngulation("(1,3) not in angulation")
+
+        monkeypatch.setattr(verify, "check_gabriel", fault)
+        with pytest.raises(NotInAngulation):
+            main(["verify", "--suite", "counts", "--steps", "1"])
 
 
 class TestFileInput(object):

@@ -279,6 +279,8 @@ class TestSplitRegions:
             chords = [frozenset((d.a, d.b)) for d in ang.arcs]
             for order in (chords, chords[::-1]):
                 assert split_regions(cycle, order) == recursive_split(cycle, order)
+            # a diagonal is the pair itself, and splits as its frozenset
+            assert split_regions(cycle, ang.arcs) == split_regions(cycle, chords)
 
     def test_no_recursion_limit(self):
         # one chord more than the interpreter's default recursion limit
@@ -686,6 +688,19 @@ class TestEnumeration:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_angulations(DiskConfig(1, 30), guard=5)
+
+    def test_crossing_table_built_once_per_configuration(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(disk, "crosses",
+                            lambda d, e: calls.append((d, e)) or crosses(d, e))
+        cfg = DiskConfig(2, 10)
+        n = len(cfg.all_diagonals())
+        assert enumerate_angulations(cfg)[0] == 55
+        assert maximal_set_sizes(cfg) == {3: 55}
+        assert len(calls) == n * (n - 1) // 2
+        # the table is the object's: an equal, fresh configuration builds its own
+        assert DiskConfig(2, 10).crossing_table == cfg.crossing_table
+        assert len(calls) == n * (n - 1)
 
     def test_maximal_sets_all_have_rank_size(self):
         assert maximal_set_sizes(PENTAGON) == {2: 5}

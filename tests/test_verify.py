@@ -25,8 +25,8 @@ from angulator.disk import (
 from angulator.quiver import ColoredQuiver, PlainQuiver
 from angulator.verify import (
     ANNULUS_MATRIX,
+    DiskOracles,
     VerificationReport,
-    all_disk_cases,
     check_annulus_maximal,
     check_axioms,
     check_connectivity,
@@ -44,6 +44,11 @@ from regions import merged_region
 
 PENTAGON = DiskConfig(1, 5)
 WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
+
+
+def all_disk_cases(cfg):
+    """Every (angulation, diagonal) pair of a configuration."""
+    return [(a, d) for a in enumerate_angulations(cfg, collect=True)[1] for d in a.arcs]
 
 
 class TestReport:
@@ -649,6 +654,39 @@ class TestOracleIndependence:
         assert calls == {"enumerate_angulations": 1, "flip_graph": 1,
                          "maximal_set_sizes": 1}
 
+    def test_one_store_and_one_crossing_table_per_disk(self, monkeypatch):
+        calls = {}
+        monkeypatch.setattr(disk, "enumerate_angulations", counted(
+            calls, "enumerate", disk.enumerate_angulations))
+        monkeypatch.setattr(DiskConfig, "all_diagonals", counted(
+            calls, "diagonals", DiskConfig.all_diagonals))
+        # a fresh configuration, whose crossing table is not built yet;
+        # compat enumerates it, and the count suites share that store
+        cfg = DiskConfig(2, 10)
+        assert fuss_catalan(cfg.m, cfg.rank + 1) <= verify.COMPAT_ENUM_CAP
+        monkeypatch.setattr(verify, "DISK_MATRIX", [cfg])
+        monkeypatch.setattr(verify, "ANNULUS_MATRIX", [])
+        reports = run_suite("all", steps=5)
+        assert all(r.passed and r.cases for r in reports)
+        assert calls == {"enumerate": 1, "diagonals": 1}
+
+    def test_all_equals_the_suites_run_apart(self, monkeypatch):
+        # within one call the suites share stores and the objects in them;
+        # the reports must still be those of separate calls
+        disks = [DiskConfig(1, 6), DiskConfig(2, 10), DiskConfig(1, 9)]
+        assert [fuss_catalan(c.m, c.rank + 1) <= verify.COMPAT_ENUM_CAP
+                for c in disks] == [True, True, False]
+        monkeypatch.setattr(verify, "DISK_MATRIX", disks)
+        monkeypatch.setattr(verify, "ANNULUS_MATRIX",
+                            [AnnulusConfig(1, 2, 1), AnnulusConfig(2, 2, 2)])
+
+        def reports(suite):
+            return [r.to_json_dict(include_elapsed=False)
+                    for r in run_suite(suite, steps=20)]
+
+        apart = reports("compat") + reports("counts") + reports("cut")
+        assert reports("all") == apart and len(apart) == 5 * 3 + 3 * 3 + 2 + 5
+
 
 class TestFailureRecords:
     """Failure messages are built lazily; they must read exactly as the
@@ -701,8 +739,9 @@ class TestSuites:
         assert check_axioms(cases).passed
 
     def test_counts_and_connectivity(self):
-        assert check_counts(DiskConfig(2, 8)).passed
-        assert check_connectivity(DiskConfig(2, 8)).passed
+        oracles = DiskOracles(DiskConfig(2, 8))
+        assert check_counts(oracles).passed
+        assert check_connectivity(oracles).passed
 
     def test_gabriel(self):
         assert check_gabriel(DiskConfig(3, 11)).passed
