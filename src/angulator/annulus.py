@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .disk import (
@@ -42,35 +43,78 @@ class UnsupportedFlip(ValueError):
     """The flip target encloses a boundary and is outside the arc model."""
 
 
-@dataclass(frozen=True)
-class Bridge:
-    """Arc from outer vertex O_outer to inner vertex I_inner, winding w."""
+class _Arc(tuple):
+    """An annulus arc: the tuple (kind tag, *fields), with tag 0 for a
+    bridge, 1 for an outer chord and 2 for an inner chord.  Its hash,
+    equality and order are the tuple's and run in C: arcs of two kinds
+    never compare equal, and arcs sort bridges first, then outer chords,
+    then inner chords, each kind by its fields.  The constructor, the
+    field names, ``_make`` and ``_replace`` take the fields alone."""
 
-    outer: int
-    inner: int
-    winding: int
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild the arc from its fields, through __new__
+        return self[1:]
+
+    @classmethod
+    def _make(cls, fields: Iterable[int]):
+        return cls(*fields)
+
+    def _replace(self, **changes):
+        out = self._make(map(changes.pop, self._fields, self[1:]))
+        if changes:
+            raise TypeError(f"unexpected field names {list(changes)}")
+        return out
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+
+class Bridge(_Arc):
+    """Arc from outer vertex O_outer to inner vertex I_inner, winding w:
+    the tuple (0, outer, inner, winding)."""
+
+    __slots__ = ()
+    __match_args__ = _fields = ("outer", "inner", "winding")
+    outer = property(itemgetter(1))
+    inner = property(itemgetter(2))
+    winding = property(itemgetter(3))
+
+    def __new__(cls, outer: int, inner: int, winding: int):
+        return tuple.__new__(cls, (0, outer, inner, winding))
 
     def __repr__(self):
         return f"B(O{self.outer},I{self.inner},{self.winding})"
 
 
-@dataclass(frozen=True)
-class OuterChord:
-    """Arc from O_start to O_{start+span} cutting off a disk at the outer rim."""
+class OuterChord(_Arc):
+    """Arc from O_start to O_{start+span} cutting off a disk at the outer
+    rim: the tuple (1, start, span)."""
 
-    start: int
-    span: int
+    __slots__ = ()
+    __match_args__ = _fields = ("start", "span")
+    start = property(itemgetter(1))
+    span = property(itemgetter(2))
+
+    def __new__(cls, start: int, span: int):
+        return tuple.__new__(cls, (1, start, span))
 
     def __repr__(self):
         return f"OC(O{self.start},{self.span})"
 
 
-@dataclass(frozen=True)
-class InnerChord:
-    """Arc from I_start to I_{start+span} cutting off a disk at the inner rim."""
+class InnerChord(_Arc):
+    """Arc from I_start to I_{start+span} cutting off a disk at the inner
+    rim: the tuple (2, start, span)."""
 
-    start: int
-    span: int
+    __slots__ = ()
+    __match_args__ = _fields = ("start", "span")
+    start = property(itemgetter(1))
+    span = property(itemgetter(2))
+
+    def __new__(cls, start: int, span: int):
+        return tuple.__new__(cls, (2, start, span))
 
     def __repr__(self):
         return f"IC(I{self.start},{self.span})"
@@ -79,18 +123,9 @@ class InnerChord:
 ArcClass = Bridge | OuterChord | InnerChord
 
 # The JSON kind of each arc class, and the class of each kind.  An arc's
-# JSON fields are its dataclass fields, in order.
+# JSON fields are its fields, in order.
 JSON_KIND = {Bridge: "bridge", OuterChord: "outer_chord", InnerChord: "inner_chord"}
 _KIND_CLASS = {kind: cls for cls, kind in JSON_KIND.items()}
-
-
-def arc_sort_key(arc: ArcClass):
-    """Canonical order: bridges by (outer, inner, winding), then chords."""
-    if isinstance(arc, Bridge):
-        return (0, arc.outer, arc.inner, arc.winding)
-    if isinstance(arc, OuterChord):
-        return (1, arc.start, arc.span)
-    return (2, arc.start, arc.span)
 
 
 @dataclass(frozen=True)
@@ -127,16 +162,18 @@ class AnnulusConfig:
 
     def is_m_diagonal(self, arc: ArcClass) -> bool:
         m = self.m
-        if isinstance(arc, Bridge):
-            if not (1 <= arc.outer <= self.outer_len):
-                raise IndexError(f"outer vertex {arc.outer} out of range")
-            if not (1 <= arc.inner <= self.inner_len):
-                raise IndexError(f"inner vertex {arc.inner} out of range")
+        if type(arc) is Bridge:
+            _, outer, inner, _ = arc
+            if not (1 <= outer <= self.outer_len):
+                raise IndexError(f"outer vertex {outer} out of range")
+            if not (1 <= inner <= self.inner_len):
+                raise IndexError(f"inner vertex {inner} out of range")
             return True
-        length = self.outer_len if isinstance(arc, OuterChord) else self.inner_len
-        if not (1 <= arc.start <= length):
-            raise IndexError(f"chord start {arc.start} out of range")
-        return arc.span % m == 1 % m and m + 1 <= arc.span <= length - 1
+        _, start, span = arc
+        length = self.outer_len if type(arc) is OuterChord else self.inner_len
+        if not (1 <= start <= length):
+            raise IndexError(f"chord start {start} out of range")
+        return span % m == 1 % m and m + 1 <= span <= length - 1
 
     def crosses(self, x: ArcClass, y: ArcClass) -> bool:
         """The module function ``crosses``, looked up at each call."""
@@ -158,39 +195,41 @@ def crosses(cfg: AnnulusConfig, x: ArcClass, y: ArcClass) -> bool:
     an arc never crosses itself.
 
     The hot predicate of the maximal-set and cut suites: each arc's type
-    is read once, and a bridge pair is decided inline in integers.  The
-    strip abscissas are scaled by mp * mq: O_a lifts to a * mq, I_b with
-    winding w to (b + w * mq) * mp, and the deck step is mp * mq.  Two
-    bridges cross iff a deck multiple lies strictly between the
-    differences of their top and of their bottom abscissas.
+    is read once, its fields by index, and a bridge pair is decided inline
+    in integers.  The strip abscissas are scaled by mp * mq: O_a lifts to
+    a * mq, I_b with winding w to (b + w * mq) * mp, and the deck step is
+    mp * mq.  Two bridges cross iff a deck multiple lies strictly between
+    the differences of their top and of their bottom abscissas.
     """
     tx, ty = type(x), type(y)
     if tx is Bridge:
         if ty is Bridge:
             outer_len, inner_len = cfg.m * cfg.p, cfg.m * cfg.q
-            dt = (x.outer - y.outer) * inner_len
-            db = (x.inner - y.inner + (x.winding - y.winding) * inner_len) * outer_len
+            # a bridge is (0, outer, inner, winding)
+            dt = (x[1] - y[1]) * inner_len
+            db = (x[2] - y[2] + (x[3] - y[3]) * inner_len) * outer_len
             per = outer_len * inner_len
             if dt < db:
                 return (db - 1) // per > dt // per
             return (dt - 1) // per > db // per
         x, y, tx, ty = y, x, ty, tx
-    # x is now a chord
+    # x is now a chord, (tag, start, span)
+    _, start, span = x
     if tx is OuterChord:
         length = cfg.m * cfg.p
         if ty is Bridge:
-            return 0 < (y.outer - x.start) % length < x.span
+            return 0 < (y[1] - start) % length < span
     else:
         length = cfg.m * cfg.q
         if ty is Bridge:
-            return 0 < (y.inner - x.start) % length < x.span
+            return 0 < (y[2] - start) % length < span
     if tx is not ty:
         return False
     # chords hugging one boundary: strict interleaving of cover intervals
-    a1, b1 = x.start, x.start + x.span
-    base = x.start + (y.start - x.start) % length
+    a1, b1 = start, start + span
+    base = start + (y[1] - start) % length
     for a2 in (base - length, base, base + length):
-        b2 = a2 + y.span
+        b2 = a2 + y[2]
         if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
             return True
     return False
@@ -200,13 +239,12 @@ class AnnulusAngulation(Angulation):
     """A set of p+q pairwise noncrossing arcs cutting into (m+2)-gons."""
 
     __slots__ = ()
-    _arc_key = staticmethod(arc_sort_key)
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.arcs)) + "}"
 
     def bridges(self) -> list[Bridge]:
-        return [a for a in self.arcs if isinstance(a, Bridge)]
+        return [a for a in self.arcs if type(a) is Bridge]
 
     def _more_problems(self, found: list[str]) -> tuple[str, ...]:
         if not self.bridges():
@@ -293,17 +331,21 @@ class AnnulusAngulation(Angulation):
         angulation (``ref``, or one it holds a cut along already), mapped
         back; the result does not depend on the bridge chosen."""
         self._require_valid()
-        if ref is not None and ref not in self.bridges():
+        if ref is not None and (type(ref) is not Bridge or ref not in self.bridges()):
             raise NotInAngulation(f"{ref} is not a bridge of the angulation")
         view = self._held_view() if ref is None else self._view(ref)
         return [view.cut.face_back(f) for f in view.disk.faces()]
 
     def _require_arc(self, x: ArcClass):
-        """Raise NotInAngulation unless x is one of the arcs: in O(1) from
-        a cut view the angulation holds already (its diagonal map holds
-        every arc but the cut bridge), by one scan of the arcs otherwise."""
+        """Raise NotInAngulation unless x is one of the arcs: at once for
+        an object of no arc class, as a plain tuple equals the arc of its
+        numbers but is not one; in O(1) from a cut view the angulation
+        holds already (its diagonal map holds every arc but the cut
+        bridge); by one scan of the arcs otherwise."""
         views = self.__dict__.get("_views")
-        if views:
+        if type(x) not in JSON_KIND:
+            found = False
+        elif views:
             view = next(iter(views.values()))
             found = x in view.diagonal or x == view.cut.bridge
         else:
@@ -311,11 +353,12 @@ class AnnulusAngulation(Angulation):
         if not found:
             raise NotInAngulation(f"{x} not in angulation")
 
+    @once_per_arc
     def _twisted(self, x: ArcClass) -> tuple["CutView", Diagonal, Diagonal]:
         """The view a flip at x works in, along a bridge other than x and
         one the angulation holds if it can; x's diagonal there; and the
-        twist of that diagonal."""
-        self._require_arc(x)
+        twist of that diagonal.  ``can_flip``, ``twist`` and ``flip`` share
+        it."""
         view = self._held_view(x)
         d = view.diagonal[x]
         return view, d, view.disk.twist(d)
@@ -383,29 +426,30 @@ class AnnulusAngulation(Angulation):
 
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per arc, in canonical order or in
-        ``order``, which lists each arc once.
+        ``order``, which lists each arc once: the canonical quiver, read
+        from the faces once, relabelled.
 
         Two arcs bounding two distinct common faces contribute arrows from
         both faces, so multiplicities up to 2 occur.
         """
-        return self._quiver if order is None else self._read_quiver(self._checked_order(order))
+        return self._quiver if order is None else self._quiver_in(order)
 
-    def _read_quiver(self, order: Sequence[ArcClass]) -> ColoredQuiver:
+    def _read_quiver(self) -> ColoredQuiver:
         # read from the held view's disk faces: each diagonal stands for
         # its arc, both copies of the cut bridge for the bridge
         view = self._held_view()
         cut = view.cut
         vertex = {}
-        for i, a in enumerate(order):
+        for i, a in enumerate(self.arcs):
             if a == cut.bridge:
                 vertex.update(dict.fromkeys(cut.bridge_sides, i))
             else:
                 vertex[view.diagonal[a]] = i
-        return quiver_from_faces(self.config.m, len(order), vertex, view.disk.faces())
+        return quiver_from_faces(self.config.m, len(self.arcs), vertex, view.disk.faces())
 
     def to_json_dict(self) -> dict:
         cfg = self.config
-        arcs = [{"kind": JSON_KIND[type(a)], **{f: getattr(a, f) for f in a.__match_args__}}
+        arcs = [{"kind": JSON_KIND[type(a)], **dict(zip(a._fields, a[1:]))}
                 for a in self.arcs]
         return {"type": "annulus", "m": cfg.m, "p": cfg.p, "q": cfg.q, "arcs": arcs}
 
@@ -449,12 +493,14 @@ class BridgeCut:
     the outer boundary from the bridge's outer endpoint back to its second
     copy; mp+2..m(p+q)+2 run back along the inner boundary.  Arcs that do
     not cross the bridge transport to disk diagonals and back.  The sizes
-    are kept as plain ints, read by every transport.
+    and the bridge's fields are kept as plain ints, read by every
+    transport.
     """
 
     def __init__(self, cfg: AnnulusConfig, bridge: Bridge):
         self.cfg = cfg
         self.bridge = bridge
+        _, self._outer, self._inner, self._winding = bridge
         self.outer_len = outer_len = cfg.m * cfg.p
         self.inner_len = inner_len = cfg.m * cfg.q
         self.sides = outer_len + inner_len + 2
@@ -463,8 +509,8 @@ class BridgeCut:
         # lift, in the scaled strip coordinates of ``crosses``: ``to_disk``
         # places a bridge by one shift of whole periods from these corners
         self._per = outer_len * inner_len
-        self._top0 = bridge.outer * inner_len
-        self._bot0 = (bridge.inner + bridge.winding * inner_len) * outer_len
+        self._top0 = self._outer * inner_len
+        self._bot0 = (self._inner + self._winding * inner_len) * outer_len
 
     @property
     def bridge_sides(self) -> tuple[Edge, Edge]:
@@ -476,12 +522,12 @@ class BridgeCut:
 
     def outer_label(self, disk_vertex: int) -> int:
         """Outer boundary label of a top disk vertex (1..mp+1)."""
-        return (self.bridge.outer + disk_vertex - 2) % self.outer_len + 1
+        return (self._outer + disk_vertex - 2) % self.outer_len + 1
 
     def inner_label(self, disk_vertex: int) -> int:
         """Inner boundary label of a bottom disk vertex (mp+2..S')."""
         offset = self.sides - disk_vertex
-        return (self.bridge.inner + offset - 1) % self.inner_len + 1
+        return (self._inner + offset - 1) % self.inner_len + 1
 
     # -- arc transport -----------------------------------------------------
 
@@ -492,23 +538,26 @@ class BridgeCut:
         if crosses(self.cfg, arc, self.bridge):
             raise ValueError(f"{arc} crosses the cut bridge")
         outer_len, inner_len = self.outer_len, self.inner_len
-        if isinstance(arc, Bridge):
+        kind = type(arc)
+        if kind is Bridge:
             # dt, db: offsets of a lift from the cut strip's corners.  The
             # two checks above make one shift exact: a noncrossing arc has
             # no deck multiple strictly between dt and db, so one shift by
             # whole periods puts both in [0, per], and only the cut bridge
             # has both at 0
-            dt = arc.outer * inner_len - self._top0
-            db = (arc.inner + arc.winding * inner_len) * outer_len - self._bot0
+            _, outer, inner, winding = arc
+            dt = outer * inner_len - self._top0
+            db = (inner + winding * inner_len) * outer_len - self._bot0
             k = min(dt, db) // self._per * self._per
             return Diagonal(1 + (dt - k) // inner_len, self.sides - (db - k) // outer_len)
-        if isinstance(arc, OuterChord):
-            offset = (arc.start - self.bridge.outer) % outer_len
-            assert offset + arc.span <= outer_len
-            return Diagonal(1 + offset, 1 + offset + arc.span)
-        offset = (arc.start - self.bridge.inner) % inner_len
-        assert offset + arc.span <= inner_len
-        return Diagonal(self.sides - offset - arc.span, self.sides - offset)
+        _, start, span = arc
+        if kind is OuterChord:
+            offset = (start - self._outer) % outer_len
+            assert offset + span <= outer_len
+            return Diagonal(1 + offset, 1 + offset + span)
+        offset = (start - self._inner) % inner_len
+        assert offset + span <= inner_len
+        return Diagonal(self.sides - offset - span, self.sides - offset)
 
     def encloses(self, diag: Diagonal) -> bool:
         """True iff diag joins the two copies of a cut endpoint: the loop
@@ -537,8 +586,8 @@ class BridgeCut:
             return InnerChord(self.inner_label(diag.b), diag.b - diag.a)
         # bridge: recover the winding from the lifts of its endpoints,
         # counted in vertex steps from the cut bridge's first lift
-        top = self.bridge.outer + diag.a - 1
-        bottom = self.bridge.inner + self.bridge.winding * inner_len + self.sides - diag.b
+        top = self._outer + diag.a - 1
+        bottom = self._inner + self._winding * inner_len + self.sides - diag.b
         outer = (top - 1) % outer_len + 1
         inner = (bottom - 1) % inner_len + 1
         return Bridge(outer, inner,

@@ -11,7 +11,7 @@ replaces a diagonal by its twist.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
@@ -141,8 +141,9 @@ def arc_set_problems(config, arcs: Sequence) -> Iterator[str]:
 
 class Angulation:
     """What the disk and annulus angulations share: an immutable set of
-    arcs of one configuration, in the model's canonical order, checked at
-    most once.
+    arcs of one configuration, in canonical order, checked at most once.
+    An arc of either model is a tuple value, and the canonical order is
+    the arcs' natural order.
 
     The configuration answers the questions about single arcs and pairs:
     ``rank``, ``is_m_diagonal``, ``crosses`` and ``is_m_ear``.  On them
@@ -152,23 +153,23 @@ class Angulation:
     out by ``_flip_problems`` when it is built, from its valid parent and
     the new arc alone, in O(r).
 
-    A model class defines ``_read_quiver`` (its quiver in a given arc
-    order), ``_require_arc`` (the ``NotInAngulation`` check, in O(1) from
-    what the angulation holds) and ``_completions`` (split afresh), and
-    ``violations``, ``twist``, ``flip``, ``faces`` and ``quiver_of`` in
-    its own namespace, where the span tracer of ``perfbench`` finds them.
+    A model class defines ``_read_quiver`` (its quiver in canonical order,
+    read from its faces), ``_require_arc`` (the ``NotInAngulation`` check,
+    in O(1) from what the angulation holds) and ``_completions`` (split
+    afresh), and ``violations``, ``twist``, ``flip``, ``faces`` and
+    ``quiver_of`` in its own namespace, where the span tracer of
+    ``perfbench`` finds them.
     The module functions ``completions`` check their input as the
     angulation it completes, through ``_completing``.  A disk has no Dehn
     twist, so only the annulus has ``rebased()``.
     """
 
     __slots__ = ("config", "arcs", "__dict__")
-    _arc_key = None  # the sort key of the canonical arc order
     _noun = "arcs"  # what the count message calls the arcs
 
     def __init__(self, config, arcs: Iterable):
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "arcs", tuple(sorted(set(arcs), key=self._arc_key)))
+        object.__setattr__(self, "arcs", tuple(sorted(set(arcs))))
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -207,7 +208,7 @@ class Angulation:
         # the r - 1 others (new itself is skipped), each pair in canonical order
         for x in self.arcs:
             if x is not new and cfg.crosses(x, new):
-                a, b = sorted((x, new), key=self._arc_key)
+                a, b = sorted((x, new))
                 out.append(f"{a} crosses {b}")
         if len(self.arcs) != cfg.rank:
             out.append(f"{len(self.arcs)} {self._noun}, expected {cfg.rank}")
@@ -244,35 +245,43 @@ class Angulation:
         return True
 
     @cached_property
-    def _flips(self) -> dict:
-        """flip(x) for every arc x flipped so far."""
-        return {}
+    def _results(self) -> defaultdict:
+        """{method: {arc x: method(self, x)}} for the methods made
+        ``once_per_arc``, over the arcs asked about so far."""
+        return defaultdict(dict)
 
     @cached_property
     def _quiver(self) -> ColoredQuiver:
-        """quiver_of() in canonical order, read once."""
-        return self._read_quiver(self.arcs)
+        """quiver_of() in canonical order, read from the faces once."""
+        return self._read_quiver()
 
-    def _checked_order(self, order: Sequence) -> Sequence:
-        """``order``, checked to list every arc once: NotInAngulation names
-        an entry that is no arc, and ValueError a repeat."""
+    def _quiver_in(self, order: Sequence) -> ColoredQuiver:
+        """quiver_of(order): the canonical quiver with each arc's vertex
+        renumbered to the arc's index in ``order``, which is checked to
+        list every arc once.  NotInAngulation names an entry that is no
+        arc, and ValueError a repeat."""
         for x in order:
             self._require_arc(x)
-        if not len(set(order)) == len(order) == len(self.arcs):
+        position = {x: i for i, x in enumerate(order)}
+        if not len(position) == len(order) == len(self.arcs):
             raise ValueError(
                 f"the order {list(order)} is not a permutation of the {self._noun}")
-        return order
+        return self._quiver._relabelled([position[x] for x in self.arcs])
 
 
-def once_per_arc(flip):
-    """Make a model's ``flip`` build one result object per (angulation,
-    arc), so that a walk step and the checks of that step share it."""
+def once_per_arc(method):
+    """Make a model's ``method(x)`` compute once per (angulation, arc x):
+    ``flip(x) is flip(x)``, so a walk step and the checks of that step
+    share one result.  x is checked to be an arc first, so that a value
+    merely equal to one reads no result."""
 
-    @wraps(flip)
+    @wraps(method)
     def memo(self, x):
-        out = self._flips.get(x)
+        self._require_arc(x)
+        results = self._results[method]
+        out = results.get(x)
         if out is None:
-            out = self._flips[x] = flip(self, x)
+            out = results[x] = method(self, x)
         return out
 
     return memo
@@ -423,14 +432,15 @@ class DiskAngulation(Angulation):
 
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal, in canonical order
-        or in ``order``, which lists each diagonal once."""
-        return self._quiver if order is None else self._read_quiver(self._checked_order(order))
+        or in ``order``, which lists each diagonal once: the canonical
+        quiver, read from the faces once, relabelled."""
+        return self._quiver if order is None else self._quiver_in(order)
 
-    def _read_quiver(self, order: Sequence[Diagonal]) -> ColoredQuiver:
+    def _read_quiver(self) -> ColoredQuiver:
         self._require_valid()
         # without diagonals the quiver is empty: split no polygon for it
         return quiver_from_faces(
-            self.config.m, len(order), {d: i for i, d in enumerate(order)},
+            self.config.m, len(self.arcs), {d: i for i, d in enumerate(self.arcs)},
             self._faces if self.arcs else (),
         )
 

@@ -67,18 +67,20 @@ def _fill(quiver, m, n, mult):
     object.__setattr__(quiver, "m", m)
     object.__setattr__(quiver, "n", n)
     object.__setattr__(quiver, "_mult", mult)
+    object.__setattr__(quiver, "_mutations", {})  # vertex k -> mutate(k)
 
 
 class ColoredQuiver:
     """Immutable colored quiver on vertices 0..n-1 with colors 0..m.
 
     The public constructor and ``from_json_dict`` check their input; the
-    results of ``mutate``, ``mutate_procedural`` and
+    results of ``mutate``, ``mutate_procedural``, ``_relabelled`` and
     ``faces.quiver_from_faces`` are built by ``_unchecked``, as they are in
-    range and hold no zero multiplicity by construction.
+    range and hold no zero multiplicity by construction.  As the quiver
+    never changes, ``mutate(k)`` is computed once per vertex k.
     """
 
-    __slots__ = ("m", "n", "_mult")
+    __slots__ = ("m", "n", "_mult", "_mutations")
 
     def __init__(self, m: int, n: int, arrows: Mapping | Iterable = ()):
         if m < 1:
@@ -170,8 +172,23 @@ class ColoredQuiver:
         if not (0 <= k < self.n):
             raise VertexRangeError(f"vertex {k} outside 0..{self.n - 1}")
 
+    def _relabelled(self, vertex) -> "ColoredQuiver":
+        """The quiver with vertex i renamed ``vertex[i]``; ``vertex`` must
+        list a permutation of 0..n-1."""
+        return ColoredQuiver._unchecked(self.m, self.n, {
+            (vertex[i], vertex[j], c): v for (i, j, c), v in self._mult.items()})
+
     def mutate(self, k: int) -> "ColoredQuiver":
-        """Mutation at vertex k via the closed three-case formula.
+        """Mutation at vertex k via the closed formula of ``_mutated``,
+        computed once per vertex: ``mutate(k) is mutate(k)``."""
+        out = self._mutations.get(k)
+        if out is None:
+            out = self._mutations[k] = self._mutated(k)
+        return out
+
+    def _mutated(self, k: int) -> "ColoredQuiver":
+        """Mutation at vertex k via the closed three-case formula, computed
+        afresh.
 
         Colors of arrows into k rise by one, colors out of k drop by one
         (mod m + 1); other pairs follow the max{0, ...} exchange count.
@@ -229,11 +246,14 @@ class ColoredQuiver:
         return ColoredQuiver._unchecked(self.m, self.n, new)
 
     def mutate_inverse(self, k: int) -> "ColoredQuiver":
-        """Inverse mutation, realized as mutate applied m times at k."""
+        """Inverse mutation, realized as mutation applied m times at k.
+        The m - 1 quivers on the way are not kept: they go through
+        ``_mutated``, not the memo of ``mutate``, so the memory stays O(1)
+        in m."""
         self._check_vertex(k)
         q = self
         for _ in range(self.m):
-            q = q.mutate(k)
+            q = q._mutated(k)
         return q
 
     def mutate_procedural(self, k: int) -> "ColoredQuiver":

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -13,7 +16,6 @@ from angulator.annulus import (
     InnerChord,
     OuterChord,
     UnsupportedFlip,
-    arc_sort_key,
     completions,
     crosses,
     cut_along,
@@ -22,13 +24,14 @@ from angulator.annulus import (
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
+    Edge,
     InvalidAngulation,
     NotInAngulation,
     crosses as disk_crosses,
 )
 from angulator.faces import quiver_from_faces
 from angulator.quiver import ColoredQuiver
-from angulator.verify import random_walk
+from angulator.verify import ANNULUS_MATRIX, random_walk
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
 C11 = AnnulusConfig(1, 1, 1)
@@ -322,7 +325,7 @@ class TestFlip:
         ang = base.flip(Bridge(3, 1, 1))
         chords = [a for a in ang.arcs if not isinstance(a, Bridge)]
         if not chords:
-            ang = ang.flip(sorted(ang.arcs, key=arc_sort_key)[0])
+            ang = ang.flip(sorted(ang.arcs)[0])
             chords = [a for a in ang.arcs if not isinstance(a, Bridge)]
         assert ang.is_valid()
         for c in chords:
@@ -718,3 +721,100 @@ class TestSerialization:
                 {"type": "annulus", "m": 1, "p": 1, "q": 1,
                  "arcs": [{"kind": "loop", "at": 1}]}
             )
+
+
+def reference_sort_key(arc):
+    """The canonical arc order as a sort key (reference): bridges by
+    (outer, inner, winding), then outer chords, then inner chords, each
+    by (start, span)."""
+    if isinstance(arc, Bridge):
+        return (0, arc.outer, arc.inner, arc.winding)
+    if isinstance(arc, OuterChord):
+        return (1, arc.start, arc.span)
+    return (2, arc.start, arc.span)
+
+
+def maximal_set_pool(cfg):
+    """The arc pool of ``check_annulus_maximal``: bridges with windings
+    up to p+q+3 from zero, and the chords that are m-diagonals."""
+    window = cfg.p + cfg.q + 3
+    pool = [Bridge(o, i, w) for o in range(1, cfg.outer_len + 1)
+            for i in range(1, cfg.inner_len + 1) for w in range(-window, window + 1)]
+    for kind, length in ((OuterChord, cfg.outer_len), (InnerChord, cfg.inner_len)):
+        pool += [kind(s, t) for s in range(1, length + 1)
+                 for t in range(cfg.m + 1, length, cfg.m)]
+    return [a for a in pool if cfg.is_m_diagonal(a)]
+
+
+# sha256 of the repr and the JSON text of every angulation of a 25-step
+# walk (seed 3) on each ANNULUS_MATRIX annulus and of its flip there, as
+# printed while the arcs were frozen dataclasses
+WALK_TEXT_SHA256 = "24740af8e741da0049de4c608a3076ec55dc3ca5c7a0ec055f4dfeb3cf890ec8"
+SOME_ARCS = [Bridge(2, 4, -1), OuterChord(3, 3), InnerChord(4, 3)]
+
+
+class TestArcValues:
+    """An arc is the tuple (kind tag, *fields): its hash, equality and
+    order are the tuple's, and it keeps the constructor, fields, repr and
+    JSON of the frozen dataclass it replaced."""
+
+    def test_tuples_with_a_kind_tag(self):
+        assert [tuple(a) for a in SOME_ARCS] == [(0, 2, 4, -1), (1, 3, 3), (2, 4, 3)]
+        assert Bridge(outer=2, inner=4, winding=-1) == SOME_ARCS[0]
+        assert OuterChord(start=3, span=3) == SOME_ARCS[1]
+        assert Bridge.__match_args__ == Bridge._fields == ("outer", "inner", "winding")
+        assert OuterChord.__match_args__ == InnerChord._fields == ("start", "span")
+        match SOME_ARCS[0]:
+            case Bridge(outer, inner, winding):
+                assert (outer, inner, winding) == (2, 4, -1)
+        with pytest.raises(AttributeError):
+            SOME_ARCS[0].winding = 0
+
+    def test_reprs(self):
+        assert repr(SOME_ARCS) == "[B(O2,I4,-1), OC(O3,3), IC(I4,3)]"
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_natural_order_is_the_canonical_order(self, cfg):
+        pool = maximal_set_pool(cfg)
+        shuffled = random.Random(cfg.rank).sample(pool, len(pool))
+        assert sorted(shuffled) == sorted(shuffled, key=reference_sort_key)
+
+    def test_kinds_never_equal_each_other_a_diagonal_or_an_edge(self):
+        for a, b in itertools.permutations(range(1, 5), 2):
+            values = [Bridge(a, b, 0), OuterChord(a, b), InnerChord(a, b),
+                      Diagonal(a, b), Edge(a, b)]
+            assert len(set(values)) == len(values)
+            assert not any(x == y for x, y in itertools.permutations(values, 2))
+
+    @pytest.mark.parametrize("arc", SOME_ARCS, ids=repr)
+    def test_copies_keep_the_class_the_tag_and_the_fields(self, arc):
+        fields = [getattr(arc, f) for f in arc._fields]
+        copies = [copy.copy(arc), copy.deepcopy(arc), arc._make(fields), arc._replace()]
+        copies += [pickle.loads(pickle.dumps(arc, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        if hasattr(copy, "replace"):  # Python 3.13 and later
+            copies.append(copy.replace(arc))
+        for other in copies:
+            assert type(other) is type(arc)
+            assert tuple(other) == tuple(arc)
+
+    def test_replace_changes_the_named_fields_only(self):
+        bridge, chord = SOME_ARCS[:2]
+        assert tuple(bridge._replace(winding=3)) == (0, 2, 4, 3)
+        assert type(chord._replace(span=5)) is OuterChord
+        assert tuple(chord._replace(span=5)) == (1, 3, 5)
+        with pytest.raises(TypeError, match="unexpected field names"):
+            bridge._replace(start=1)
+        if hasattr(copy, "replace"):
+            assert tuple(copy.replace(bridge, inner=1)) == (0, 2, 1, -1)
+
+    def test_walked_reprs_and_json_text_are_unchanged(self):
+        digest = hashlib.sha256()
+        for cfg in ANNULUS_MATRIX:
+            for ang, arc in random_walk(cfg, 25, 3):
+                for obj in (ang, ang.flip(arc)):
+                    text = json.dumps(obj.to_json_dict())
+                    back = AnnulusAngulation.from_json_dict(json.loads(text))
+                    assert back == obj and json.dumps(back.to_json_dict()) == text
+                    digest.update(f"{obj!r}\n{text}\n".encode())
+        assert digest.hexdigest() == WALK_TEXT_SHA256

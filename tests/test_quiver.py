@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +307,55 @@ class TestMutate:
                     assert q.mutate(k) == dense_mutate(q, k)
 
 
+class TestMutateMemo:
+    """A quiver never changes, so it computes ``mutate(k)`` once per k."""
+
+    @given(valid_quivers(max_m=6), st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_one_object_per_vertex_equal_to_a_fresh_mutation(self, q, k):
+        k %= q.n
+        first = q.mutate(k)
+        assert q.mutate(k) is first
+        fresh = ColoredQuiver.from_json_dict(q.to_json_dict()).mutate(k)
+        assert fresh is not first
+        assert fresh == first == dense_mutate(q, k)
+
+    def test_kept_mutations_agree_with_the_procedure(self):
+        # the procedure agrees with the formula on the quivers of
+        # angulations, not on every valid quiver
+        from angulator.annulus import AnnulusConfig
+        from angulator.disk import DiskConfig
+        from angulator.verify import random_walk
+
+        for cfg in (DiskConfig(2, 14), AnnulusConfig(1, 2, 2), AnnulusConfig(2, 4, 3)):
+            for ang, _ in random_walk(cfg, 10, 4):
+                q = ang.quiver_of()
+                for k in range(q.n):
+                    first = q.mutate(k)
+                    assert q.mutate(k) is first
+                    assert first == q.mutate_procedural(k)
+
+    def test_a_refused_vertex_stays_refused(self):
+        q = minimal_pair()
+        for _ in range(2):
+            with pytest.raises(VertexRangeError):
+                q.mutate(5)
+
+    def test_inverse_keeps_no_quiver_on_the_way(self):
+        # through the memo of mutate, each of the m - 1 quivers on the way
+        # would stay reachable from the one before: some 14 MB at this m
+        m = 20_000
+        q = ColoredQuiver(m, 2, {(0, 1, 0): 1, (1, 0, m): 1})
+        tracemalloc.start()
+        try:
+            inverse = q.mutate_inverse(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert inverse.mutate(0) == q
+
+
 class TestMutateInverse:
     def test_involution_at_m1(self):
         q = ColoredQuiver(
@@ -350,6 +400,7 @@ class TestProcedural:
             raise AssertionError("mutate_procedural called mutate")
 
         monkeypatch.setattr(ColoredQuiver, "mutate", formula)
+        monkeypatch.setattr(ColoredQuiver, "_mutated", formula)
         assert q.mutate_procedural(1) == expected
 
 

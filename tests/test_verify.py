@@ -188,7 +188,7 @@ def least_bridge_flip(ang, x):
     """What flip(x) gives, worked out afresh in the cut along the least
     bridge other than x: the new arc, or the refusal's message."""
     cfg = ang.config
-    ref = min((b for b in ang.bridges() if b != x), key=annulus.arc_sort_key)
+    ref = min(b for b in ang.bridges() if b != x)
     cut = annulus.BridgeCut(cfg, ref)
     local = DiskAngulation(cut.disk, [cut.to_disk(a) for a in ang.arcs if a != ref])
     try:
@@ -216,8 +216,7 @@ class TestIncrementalWalks:
                     (new,) = set(outcome.arcs) - set(obj.arcs)
                     assert new == least_bridge_flip(obj, x)
                     (used,) = outcome._views
-                    least = min((b for b in obj.bridges() if b != x),
-                                key=annulus.arc_sort_key)
+                    least = min(b for b in obj.bridges() if b != x)
                     other_view += used != least
         # some flip used a view that is not the least-bridge one; with two
         # arcs the one bridge left is the least, and the rank-3 walk here
@@ -255,6 +254,64 @@ class TestIncrementalWalks:
         assert cycle
         assert not any(obj is ang and x == arc for obj, x in cycle for ang, arc in cases)
         assert len({(id(obj), x) for obj, x in cycle}) == len(cycle)
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
+    def test_compat_reads_each_quiver_once_and_mutates_it_once(self, monkeypatch, cfg):
+        calls, read, mutated = {}, [], []
+
+        def logged(log, fn):
+            def wrapper(obj, *args):
+                log.append((obj, *args))
+                return fn(obj, *args)
+            return wrapper
+
+        for module in (disk, annulus):
+            monkeypatch.setattr(module, "quiver_from_faces",
+                                counted(calls, "faces", faces.quiver_from_faces))
+        for cls in (DiskAngulation, AnnulusAngulation):
+            monkeypatch.setattr(cls, "_read_quiver", logged(read, cls._read_quiver))
+        monkeypatch.setattr(ColoredQuiver, "_mutated", logged(mutated, ColoredQuiver._mutated))
+        is_disk = isinstance(cfg, DiskConfig)
+        monkeypatch.setattr(verify, "DISK_MATRIX", [cfg] if is_disk else [])
+        monkeypatch.setattr(verify, "ANNULUS_MATRIX", [] if is_disk else [cfg])
+        assert all(report.passed for report in run_suite("compat", 4, steps=12))
+        # the 12 walked angulations and the last flip result, each read
+        # from its faces once; each walked quiver mutated once, at one vertex
+        assert calls == {"faces": 13} and len(read) == 13
+        assert len({id(obj) for obj, in read}) == 13
+        assert len(mutated) == 12
+        assert len({id(q) for q, _ in mutated}) == 12
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
+    def test_quiver_in_an_order_is_the_faces_read_in_that_order(self, cfg):
+        rng = random.Random(6)
+        for ang, arc in random_walk(cfg, 12, 6):
+            for obj in (ang, ang.flip(arc)):
+                order = rng.sample(obj.arcs, len(obj.arcs))
+                vertex = {a: i for i, a in enumerate(order)}
+                assert obj.quiver_of(order) == faces.quiver_from_faces(
+                    cfg.m, len(order), vertex, obj.faces())
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_can_flip_twist_and_flip_share_one_twist(self, monkeypatch, cfg):
+        calls = {}
+        monkeypatch.setattr(DiskAngulation, "twist",
+                            counted(calls, "twist", DiskAngulation.twist))
+        for ang, _ in list(random_walk(cfg, 6, 5)):
+            fresh = AnnulusAngulation(cfg, ang.arcs)
+            for x in fresh.arcs:
+                calls.clear()
+                fresh.can_flip(x)
+                outcome = flip_outcome(fresh, x)
+                if isinstance(outcome, str):  # refused, and the twist alike
+                    with pytest.raises(UnsupportedFlip):
+                        fresh.twist(x)
+                else:
+                    (new,) = set(outcome.arcs) - set(fresh.arcs)
+                    assert fresh.twist(x) == new
+                # the cut view's disk twists x once; m >= 2 needs no twist
+                # to say that x can flip
+                assert calls == {"twist": 1}
 
     @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
     def test_bridge_cut_check_reuses_the_walk_flip(self, monkeypatch, cfg):
@@ -414,6 +471,34 @@ class TestAngulationInterface:
             with pytest.raises(NotInAngulation):
                 ang.twist(foreign)
 
+    @pytest.mark.parametrize("cfg", [DiskConfig(2, 10), AnnulusConfig(1, 2, 1),
+                                     AnnulusConfig(2, 2, 1)], ids=repr)
+    def test_only_an_arc_is_in_an_angulation(self, cfg):
+        # a list is unhashable, and a plain tuple equals the arc of its
+        # numbers: both are refused before the angulation holds a twist
+        # table or cut view and a flip result, and after
+        ang = initial_fan(cfg) if isinstance(cfg, DiskConfig) else initial_bridges(cfg)
+        x, *rest = ang.arcs
+        strangers = [list(x), tuple(x), list(x)[-len(x._fields):]]
+
+        def refuse_all():
+            asks = (ang.can_flip, ang.twist, ang.flip,
+                    lambda stranger: ang.quiver_of([stranger, *rest]))
+            for stranger in strangers:
+                for ask in asks:
+                    with pytest.raises(NotInAngulation):
+                        ask(stranger)
+
+        assert not ang.__dict__.get("_views") and "_sides" not in ang.__dict__
+        refuse_all()
+        ang.flip(x)
+        assert ang.__dict__.get("_views") or "_sides" in ang.__dict__
+        refuse_all()
+        if isinstance(cfg, AnnulusConfig):
+            for stranger in strangers:
+                with pytest.raises(NotInAngulation):
+                    ang.faces(stranger)
+
     def test_disk_and_annulus_never_equal(self):
         empty_disk = DiskAngulation(DiskConfig(2, 4), [])
         empty_annulus = AnnulusAngulation(AnnulusConfig(2, 1, 1), [])
@@ -506,7 +591,7 @@ def reference_extensions(cfg, trials, seed):
 
     def cells_ok(arcs):
         bridges = [a for a in arcs if isinstance(a, annulus.Bridge)]
-        cut = annulus.BridgeCut(cfg, min(bridges, key=annulus.arc_sort_key))
+        cut = annulus.BridgeCut(cfg, min(bridges))
         chords = [frozenset((d.a, d.b))
                   for d in (cut.to_disk(a) for a in arcs if a != cut.bridge)]
         cycle = list(range(1, cut.disk.sides + 1))
