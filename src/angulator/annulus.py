@@ -30,7 +30,6 @@ from .disk import (
     Diagonal,
     DiskAngulation,
     DiskConfig,
-    Edge,
     InvalidAngulation,
     NotInAngulation,
     once_per_arc,
@@ -239,6 +238,7 @@ class AnnulusAngulation(Angulation):
     """A set of p+q pairwise noncrossing arcs cutting into (m+2)-gons."""
 
     __slots__ = ()
+    _kinds = tuple(JSON_KIND)
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.arcs)) + "}"
@@ -427,25 +427,27 @@ class AnnulusAngulation(Angulation):
     def quiver_of(self, order: Sequence[ArcClass] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per arc, in canonical order or in
         ``order``, which lists each arc once: the canonical quiver, read
-        from the faces once, relabelled.
+        from the cells once, relabelled.
 
-        Two arcs bounding two distinct common faces contribute arrows from
-        both faces, so multiplicities up to 2 occur.
+        Two arcs bounding two distinct common cells contribute arrows from
+        both cells, so multiplicities up to 2 occur.
         """
         return self._quiver if order is None else self._quiver_in(order)
 
     def _read_quiver(self) -> ColoredQuiver:
-        # read from the held view's disk faces: each diagonal stands for
-        # its arc, both copies of the cut bridge for the bridge
+        # read from the held view's disk cells: each diagonal stands for
+        # its arc, both copies of the cut bridge, the disk edges from mp+1
+        # and from S, for the bridge
         view = self._held_view()
         cut = view.cut
-        vertex = {}
+        vertex, edges = {}, {}
         for i, a in enumerate(self.arcs):
             if a == cut.bridge:
-                vertex.update(dict.fromkeys(cut.bridge_sides, i))
+                edges = {cut.outer_len + 1: i, cut.sides: i}
             else:
                 vertex[view.diagonal[a]] = i
-        return quiver_from_faces(self.config.m, len(self.arcs), vertex, view.disk.faces())
+        return quiver_from_faces(
+            self.config.m, len(self.arcs), cut.sides, vertex, edges, view.disk._faces)
 
     def to_json_dict(self) -> dict:
         cfg = self.config
@@ -511,12 +513,6 @@ class BridgeCut:
         self._per = outer_len * inner_len
         self._top0 = self._outer * inner_len
         self._bot0 = (self._inner + self._winding * inner_len) * outer_len
-
-    @property
-    def bridge_sides(self) -> tuple[Edge, Edge]:
-        """The two disk edges that are copies of the cut bridge."""
-        top_max = self.outer_len + 1
-        return Edge(top_max, top_max + 1), Edge(self.sides, 1)
 
     # -- vertex maps -------------------------------------------------------
 
@@ -598,7 +594,8 @@ class BridgeCut:
     def side_back(self, side) -> object:
         if isinstance(side, Diagonal):
             return self.from_disk(side)
-        if side in self.bridge_sides:
+        # the disk edges from mp+1 and from S are the copies of the bridge
+        if side.u in (self.outer_len + 1, self.sides):
             return self.bridge
         if side.v <= self.outer_len + 1:
             return BoundaryEdge("outer", self.outer_label(side.u))

@@ -16,7 +16,16 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from typing import Iterable, Iterator, Sequence
 
-from .faces import Face, quiver_from_faces, split_regions
+from .faces import (
+    Cell,
+    Face,
+    cell_size,
+    cell_vertices,
+    quiver_from_faces,
+    split_regions,
+    step_after,
+    twist_cells,
+)
 from .quiver import ColoredQuiver, json_int
 
 DEFAULT_GUARD = 12
@@ -147,14 +156,15 @@ class Angulation:
 
     The configuration answers the questions about single arcs and pairs:
     ``rank``, ``is_m_diagonal``, ``crosses`` and ``is_m_ear``.  On them
-    this class builds ``_problems``: the arcs that are no m-diagonals, the
-    crossing pairs and a wrong count, to which a model adds its own rules
-    through ``_more_problems``.  A flip result's ``_problems`` is worked
-    out by ``_flip_problems`` when it is built, from its valid parent and
-    the new arc alone, in O(r).
+    this class builds ``_problems``: the entries of no arc class of the
+    model (``_kinds``), then, among the others, the arcs that are no
+    m-diagonals and the crossing pairs, then a wrong count, to which a
+    model adds its own rules through ``_more_problems``.  A flip result's
+    ``_problems`` is worked out by ``_flip_problems`` when it is built,
+    from its valid parent and the new arc alone, in O(r).
 
     A model class defines ``_read_quiver`` (its quiver in canonical order,
-    read from its faces), ``_require_arc`` (the ``NotInAngulation`` check,
+    read from its cells), ``_require_arc`` (the ``NotInAngulation`` check,
     in O(1) from what the angulation holds) and ``_completions`` (split
     afresh), and ``violations``, ``twist``, ``flip``, ``faces`` and
     ``quiver_of`` in its own namespace, where the span tracer of
@@ -166,6 +176,8 @@ class Angulation:
 
     __slots__ = ("config", "arcs", "__dict__")
     _noun = "arcs"  # what the count message calls the arcs
+    _one = "an arc"  # and what a message calls one of them
+    _kinds: tuple[type, ...]  # the arc classes of the model
 
     def __init__(self, config, arcs: Iterable):
         object.__setattr__(self, "config", config)
@@ -187,7 +199,10 @@ class Angulation:
     @cached_property
     def _problems(self) -> tuple[str, ...]:
         cfg = self.config
-        out = list(arc_set_problems(cfg, self.arcs))
+        kinds = self._kinds
+        # an entry of no arc class has no fields to check: it is named alone
+        out = [f"{x} is not {self._one}" for x in self.arcs if type(x) not in kinds]
+        out += arc_set_problems(cfg, [x for x in self.arcs if type(x) in kinds])
         if len(self.arcs) != cfg.rank:
             out.append(f"{len(self.arcs)} {self._noun}, expected {cfg.rank}")
         return self._more_problems(out)
@@ -252,7 +267,7 @@ class Angulation:
 
     @cached_property
     def _quiver(self) -> ColoredQuiver:
-        """quiver_of() in canonical order, read from the faces once."""
+        """quiver_of() in canonical order, read from the cells once."""
         return self._read_quiver()
 
     def _quiver_in(self, order: Sequence) -> ColoredQuiver:
@@ -287,20 +302,13 @@ def once_per_arc(method):
     return memo
 
 
-def _enter_sides(table: dict, face: Face):
-    """Record ``face`` under each diagonal side it has, keyed by the side
-    as the face runs it clockwise, with the side's index."""
-    verts = face.vertices
-    for i, side in enumerate(face.sides):
-        if type(side) is Diagonal:
-            table[verts[i], verts[(i + 1) % len(verts)]] = (face, i)
-
-
 class DiskAngulation(Angulation):
     """A maximal noncrossing set of m-diagonals, canonically sorted."""
 
     __slots__ = ()
     _noun = "diagonals"
+    _one = "a diagonal"
+    _kinds = (Diagonal,)
 
     def __repr__(self):
         return "".join(map(repr, self.arcs)) or "(empty)"
@@ -308,39 +316,38 @@ class DiskAngulation(Angulation):
     def violations(self) -> list[str]:
         return list(self._problems)
 
-    def _face(self, cycle: Sequence[int]) -> Face:
-        S = self.config.sides
-        sides = [
-            Edge(u, v) if v == u % S + 1 else Diagonal(u, v)
-            for u, v in zip(cycle, cycle[1:] + cycle[:1])
-        ]
-        return Face(tuple(cycle), tuple(sides))
-
     @cached_property
-    def _faces(self) -> tuple[Face, ...]:
-        # the public callers check validity, because _flipped() sets this
-        # directly for its result
-        cycle = list(range(1, self.config.sides + 1))
-        return tuple(map(self._face, split_regions(cycle, self.arcs)))
+    def _faces(self) -> tuple[Cell, ...]:
+        """The r+1 cells as arc runs (see ``faces``).  The public callers
+        check validity, because _flipped() sets this directly for its
+        result."""
+        return tuple(split_regions(self.config.sides, self.arcs))
 
     def faces(self) -> list[Face]:
-        """The r+1 cells, each an (m+2)-gon with sides in clockwise order;
-        the list order and each cell's first vertex are not fixed."""
+        """The r+1 cells, each an (m+2)-gon with sides in clockwise order:
+        the held cells, stored as their arc runs, expanded on each call
+        into their vertices, ``Diagonal`` sides and boundary ``Edge``
+        sides.  The list order and each cell's first vertex are not fixed."""
         self._require_valid()
-        return list(self._faces)
+        S = self.config.sides
+        out = []
+        for cell in self._faces:
+            cycle = cell_vertices(S, cell)
+            sides = [
+                Edge(u, v) if v == u % S + 1 else Diagonal(u, v)
+                for u, v in zip(cycle, cycle[1:] + cycle[:1])
+            ]
+            out.append(Face(tuple(cycle), tuple(sides)))
+        return out
 
     @cached_property
-    def _sides(self) -> dict[tuple[int, int], tuple[Face, int]]:
-        """The face-local twist table.  A face runs the sides of a diagonal
-        (a, b) clockwise: the face inside [a, b] runs it as (b, a), the face
-        outside as (a, b).  The entry of a run side (u, v) is the face and
-        the side's index i there, so vertices[i + 2] is the vertex after v.
-        A flip hands its result this table with the sides of the two new
-        faces rewritten."""
-        table = {}
-        for face in self._faces:
-            _enter_sides(table, face)
-        return table
+    def _sides(self) -> dict[tuple[int, int], tuple[Cell, int]]:
+        """The cell-local twist table.  A cell runs a diagonal (a, b)
+        clockwise: the cell inside [a, b] runs it as (b, a), the cell
+        outside as (a, b).  The entry of a run (u, v) is the cell and the
+        run's index there.  A flip hands its result this table with the
+        runs of the two new cells rewritten."""
+        return {run: (cell, i) for cell in self._faces for i, run in enumerate(cell)}
 
     def _require_arc(self, d: Diagonal):
         """Raise NotInAngulation unless d is one of the diagonals: in O(1)
@@ -358,8 +365,8 @@ class DiskAngulation(Angulation):
         if not found:
             raise NotInAngulation(f"{d} not in angulation")
 
-    def _around(self, d: Diagonal) -> tuple[tuple[Face, int], tuple[Face, int]]:
-        """The entries of the faces inside and outside d."""
+    def _around(self, d: Diagonal) -> tuple[tuple[Cell, int], tuple[Cell, int]]:
+        """The entries of the cells inside and outside d."""
         self._require_arc(d)
         self._require_valid()
         return self._sides[d.b, d.a], self._sides[d.a, d.b]
@@ -369,10 +376,8 @@ class DiskAngulation(Angulation):
         joins the vertex after a inside [a, b] to the vertex after b
         outside, as ``region_twist`` of the merged region does."""
         (inner, i), (outer, j) = self._around(d)
-        return Diagonal(
-            inner.vertices[(i + 2) % len(inner.vertices)],
-            outer.vertices[(j + 2) % len(outer.vertices)],
-        )
+        S = self.config.sides
+        return Diagonal(step_after(S, inner, i)[0], step_after(S, outer, j)[0])
 
     @once_per_arc
     def flip(self, d: Diagonal) -> "DiskAngulation":
@@ -386,27 +391,21 @@ class DiskAngulation(Angulation):
     def _flipped(self, d: Diagonal, new: Diagonal) -> "DiskAngulation":
         """d replaced by its twist ``new``, with no validity set.
 
-        Only the two faces beside d change: the twist splits their union
-        the other way.  The result takes the other faces and the twist
-        table over, with the entries of the two new faces rewritten.
+        Only the two cells beside d change: the twist splits their union
+        the other way.  The two new cells come from the old ones alone, so
+        a wrong ``new`` gives a result whose arcs its check flags.  The
+        result takes the other cells and the twist table over, with the
+        entries of the two new cells rewritten.
         """
-        (inner, i), (outer, j) = self._sides[d.b, d.a], self._sides[d.a, d.b]
-        # the merged region runs a, v1, ..., b inside and b, w1, ..., a
-        # outside; the twist (v1, w1) splits it into two (m+2)-gons
-        in_verts = inner.vertices[i + 1:] + inner.vertices[: i + 1]
-        in_sides = inner.sides[i + 1:] + inner.sides[:i]
-        out_verts = outer.vertices[j + 1:] + outer.vertices[: j + 1]
-        out_sides = outer.sides[j + 1:] + outer.sides[:j]
-        halves = (
-            Face(in_verts[1:] + out_verts[1:2], in_sides[1:] + out_sides[:1] + (new,)),
-            Face(out_verts[1:] + in_verts[1:2], out_sides[1:] + in_sides[:1] + (new,)),
-        )
+        a, b = d
+        (inner, i), (outer, j) = self._sides[b, a], self._sides[a, b]
+        halves = twist_cells(self.config.sides, inner, i, outer, j)
         out = DiskAngulation(self.config, [e for e in self.arcs if e != d] + [new])
         table = dict(self._sides)
-        del table[d.a, d.b], table[d.b, d.a]
-        for face in halves:
-            _enter_sides(table, face)
-        kept = tuple(f for f in self._faces if f is not inner and f is not outer)
+        del table[a, b], table[b, a]
+        for cell in halves:
+            table.update((run, (cell, n)) for n, run in enumerate(cell))
+        kept = tuple(c for c in self._faces if c is not inner and c is not outer)
         # fills the cached properties
         out.__dict__.update(_faces=kept + halves, _sides=table)
         return out
@@ -417,11 +416,11 @@ class DiskAngulation(Angulation):
     ) -> list[Diagonal]:
         """``completions`` without the input check: ``partial`` and
         ``removed`` must form an angulation.  The partial set is split
-        afresh."""
-        cycle = list(range(1, cfg.sides + 1))
-        big = [r for r in split_regions(cycle, partial) if len(r) == 2 * cfg.m + 2]
+        afresh, and only its one open (2m+2)-gon is expanded."""
+        S = cfg.sides
+        big = [c for c in split_regions(S, partial) if cell_size(S, c) == 2 * cfg.m + 2]
         assert len(big) == 1, "an almost-complete angulation has one open region"
-        region = tuple(big[0])
+        region = tuple(cell_vertices(S, big[0]))
         out = []
         cur = removed
         for _ in range(cfg.m + 1):
@@ -433,15 +432,16 @@ class DiskAngulation(Angulation):
     def quiver_of(self, order: Sequence[Diagonal] | None = None) -> ColoredQuiver:
         """Colored quiver with one vertex per diagonal, in canonical order
         or in ``order``, which lists each diagonal once: the canonical
-        quiver, read from the faces once, relabelled."""
+        quiver, read from the cells once, relabelled."""
         return self._quiver if order is None else self._quiver_in(order)
 
     def _read_quiver(self) -> ColoredQuiver:
         self._require_valid()
         # without diagonals the quiver is empty: split no polygon for it
+        cfg = self.config
         return quiver_from_faces(
-            self.config.m, len(self.arcs), {d: i for i, d in enumerate(self.arcs)},
-            self._faces if self.arcs else (),
+            cfg.m, len(self.arcs), cfg.sides, {d: i for i, d in enumerate(self.arcs)},
+            {}, self._faces if self.arcs else (),
         )
 
     def to_json_dict(self) -> dict:

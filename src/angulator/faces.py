@@ -1,17 +1,27 @@
-"""Face machinery shared by the disk and annulus models.
+"""Cell machinery shared by the disk and annulus models.
 
-A face is an (m+2)-gon cell of an angulation, stored as its boundary sides
-in clockwise cyclic order (clockwise meaning the direction of increasing
-vertex labels).  Arrow colors of the associated quiver are read off faces
-here, so both geometric models use one orientation convention.
+A cell is an (m+2)-gon of an angulation of a polygon whose S vertices are
+labelled 1..S clockwise (clockwise meaning the direction of increasing
+labels).  It is stored as the cyclic tuple of its arc runs in clockwise
+order: a run (u, v) is a chord of the cell, traversed from u to v.  The
+boundary edges between two runs are implied: after a run come
+(next u - v) % S of them.  So the split, the twist, the flip and the
+quiver read work on the r arcs alone; only ``cell_vertices`` walks the
+boundary vertices of a cell.  Arrow colors of the associated quiver are
+read off the cells here, so both geometric models use one orientation
+convention.  ``Face`` is the expanded form of a cell that the public
+``faces()`` methods list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .quiver import ColoredQuiver, VertexRangeError
+
+# a cell: its arc runs (u, v) in clockwise order
+Cell = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -25,76 +35,124 @@ class Face:
         return len(self.sides)
 
 
-def split_regions(cycle: Sequence[Hashable], chords: Iterable[Sequence]) -> list[list]:
-    """Vertex cycles of the regions a chord set cuts a polygon into.
+def cell_size(sides: int, cell: Cell) -> int:
+    """The side count of ``cell``: its runs plus its gaps.  Each gap ends
+    where the next run starts, so the gaps add up to the sum of u - v
+    over the runs (u, v), mod ``sides``; they are fewer than ``sides``.
+    The empty cell of a polygon without chords is the whole polygon."""
+    return len(cell) + sum([u - v for u, v in cell]) % sides if cell else sides
 
-    ``cycle`` lists the polygon's vertices in clockwise order; every chord is
-    a pair of cycle members, such as a ``Diagonal``.  Chords must be
-    pairwise noncrossing.  The first chord splits the polygon in two; the
-    regions of the side from its first endpoint (in cycle order) to its
-    second come first, then those of the other side, each split by its
-    chords alike.  A work stack stands for the recursion, so the chord
-    count is not bounded by the interpreter's recursion limit.
-    """
+
+def cell_vertices(sides: int, cell: Cell) -> list[int]:
+    """The vertex cycle of ``cell``, clockwise from its first run's start."""
+    if not cell:
+        return list(range(1, sides + 1))
     out = []
-    stack = [(list(cycle), list(chords))]
-    while stack:
-        cycle, chords = stack.pop()
-        if not chords:
-            out.append(cycle)
-            continue
-        a, b = sorted(chords[0], key=cycle.index)
-        ia, ib = cycle.index(a), cycle.index(b)
-        side1 = cycle[ia : ib + 1]
-        side2 = cycle[ib:] + cycle[: ia + 1]
-        set1 = set(side1)
-        in1, in2 = [], []
-        for ch in chords[1:]:
-            u, v = ch
-            if u in set1 and v in set1:
-                in1.append(ch)
-            else:
-                in2.append(ch)
-        # side2 is pushed first, so side1's regions are all listed before it
-        stack.append((side2, in2))
-        stack.append((side1, in1))
+    for (u, v), (w, _) in zip(cell, cell[1:] + cell[:1]):
+        out.append(u)
+        # the gap: the boundary vertices from v up to the next run's start w
+        out.extend((x - 1) % sides + 1 for x in range(v, v + (w - v) % sides))
     return out
 
 
-def quiver_from_faces(
-    m: int, n: int, vertex: Mapping[Hashable, int], faces: Iterable[Face]
-) -> ColoredQuiver:
-    """Colored quiver on vertices 0..n-1 read from a face list.
+def step_after(sides: int, cell: Cell, i: int) -> tuple[int, int]:
+    """The vertex the step after run i of ``cell`` ends at, and the number
+    of runs that step takes: 1 when the next run starts where run i ends,
+    0 when the step is the boundary edge from there."""
+    end = cell[i][1]
+    u, v = cell[i + 1 - len(cell)]
+    return (v, 1) if u == end else (end % sides + 1, 0)
 
-    ``vertex`` maps a face side to the vertex of the arc it stands for;
-    a side it does not hold (a boundary edge) stands for no arc.  Two
-    sides may stand for one arc, as the two copies of the bridge that an
-    annulus is cut open along do.  For arcs d, e on one face the arrow
-    d -> e gets the color counting the face's sides strictly between d and
-    e clockwise from d; under this orientation flips of angulations
-    commute with colored quiver mutation.
 
-    Before any arrow is read, a face that is not an (m+2)-gon raises
-    ValueError and a ``vertex`` value outside 0..n-1 raises
-    VertexRangeError; then every color lies in 0..m and the quiver is
-    built without a range check.
+def twist_cells(sides: int, inner: Cell, i: int, outer: Cell, j: int) -> tuple[Cell, Cell]:
+    """The two cells beside a chord (a, b), merged and split again at its
+    twist.  ``inner`` runs the chord as (b, a) at index i and ``outer``
+    as (a, b) at index j.  The merged region runs from a to b through
+    ``inner`` and from b to a through ``outer``; its first step from a
+    ends at x, its first step from b at y, and the twist (x, y) splits it
+    into the two new cells, read from the old ones alone."""
+    x, ka = step_after(sides, inner, i)
+    y, kb = step_after(sides, outer, j)
+    from_a = inner[i + 1:] + inner[:i]
+    from_b = outer[j + 1:] + outer[:j]
+    return from_a[ka:] + from_b[:kb] + ((y, x),), from_b[kb:] + from_a[:ka] + ((x, y),)
+
+
+def split_regions(sides: int, chords: Iterable[Sequence[int]]) -> list[Cell]:
+    """The cells a chord set cuts the polygon with vertices 1..``sides`` into.
+
+    Every chord is a pair (a, b) with a < b, such as a ``Diagonal``, and
+    the chords must be pairwise noncrossing.  One sort by (a, -b) lists
+    each chord after the chords that enclose it, so a stack of the open
+    chords gives the nesting tree.  The cell inside a chord (a, b) is the
+    chord run backwards, (b, a), then the runs of its children; the root
+    cell holds the top-level chords.  A polygon without chords is one
+    empty cell.  The cost is O(r log r) in the chord count r, whatever
+    ``sides`` is.
     """
-    faces = tuple(faces)
-    for face in faces:
-        if len(face.sides) != m + 2:
-            raise ValueError(
-                f"face {face.vertices} has {len(face.sides)} sides, expected {m + 2}")
-    for v in vertex.values():
+    cells = []
+    # each open cell: the end b of its chord, then its runs so far; the
+    # root's end lies past every vertex
+    stack = [(sides + 1, [])]
+    for a, minus_b in sorted((a, -b) for a, b in chords):
+        b = -minus_b
+        while stack[-1][0] <= a:
+            cells.append(tuple(stack.pop()[1]))
+        stack[-1][1].append((a, b))
+        stack.append((b, [(b, a)]))
+    cells.extend(tuple(runs) for _, runs in reversed(stack))
+    return cells
+
+
+def quiver_from_faces(
+    m: int,
+    n: int,
+    sides: int,
+    vertex: Mapping[tuple[int, int], int],
+    edges: Mapping[int, int],
+    cells: Iterable[Cell],
+) -> ColoredQuiver:
+    """Colored quiver on vertices 0..n-1 read from the cells of a polygon
+    with ``sides`` vertices.
+
+    ``vertex`` maps each arc, as the pair (a, b) with a < b, to its quiver
+    vertex; every run of a cell is such an arc.  ``edges`` maps the start
+    vertex of a boundary edge that stands for an arc to that arc's
+    vertex, as the two copies of the bridge that an annulus is cut open
+    along do.  A run's position in its cell is its index plus the gaps
+    before it; such an edge's position is the position of the run before
+    it, plus one, plus its offset in the gap.  For arcs d, e on one cell
+    the arrow d -> e gets the color (pos_e - pos_d - 1) % (m+2), the
+    number of the cell's sides strictly between d and e clockwise from d;
+    under this orientation flips of angulations commute with colored
+    quiver mutation.
+
+    Before any arrow is read, a cell that is not an (m+2)-gon raises
+    ValueError and a vertex value outside 0..n-1 raises VertexRangeError;
+    then every color lies in 0..m and the quiver is built without a range
+    check.
+    """
+    size = m + 2
+    read = []
+    for cell in cells:
+        spots, pos = [], 0
+        for (u, v), (w, _) in zip(cell, cell[1:] + cell[:1]):
+            spots.append((pos, vertex[(u, v) if u < v else (v, u)]))
+            gap = (w - v) % sides
+            for start, x in edges.items():
+                offset = (start - v) % sides
+                if offset < gap:
+                    spots.append((pos + 1 + offset, x))
+            pos += 1 + gap
+        # an empty cell, with no chord to start from, is the whole polygon
+        if (pos or sides) != size:
+            raise ValueError(f"cell {cell} has {pos or sides} sides, expected {size}")
+        read.append(spots)
+    for v in (*vertex.values(), *edges.values()):
         if not 0 <= v < n:
             raise VertexRangeError(f"vertex {v} outside 0..{n - 1}")
     arrows = {}
-    for face in faces:
-        spots = [
-            (pos, vertex[side])
-            for pos, side in enumerate(face.sides)
-            if side in vertex
-        ]
-        size = len(face.sides)
+    for spots in read:
         for pi, vi in spots:
             for pj, vj in spots:
                 if vi == vj:

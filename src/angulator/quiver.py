@@ -4,8 +4,10 @@ A colored quiver stores arrow multiplicities q[i, j, c] graded by a color
 c in 0..m.  Valid quivers satisfy three axioms: no loops, at most one color
 per ordered vertex pair (monochromaticity), and the symmetry
 q[i, j, c] == q[j, i, m - c].  Mutation at a vertex is available both as a
-closed formula and as the equivalent three-step rewriting procedure; color
-arithmetic is always modulo m + 1.
+closed formula and as a three-step rewriting procedure.  The two agree on
+the quivers of angulations, where ``check_axioms`` and the tests compare
+them; on some other valid quivers they differ.  Color arithmetic is always
+modulo m + 1.
 """
 
 from __future__ import annotations
@@ -264,7 +266,8 @@ class ColoredQuiver:
         to the color of every arrow into k and subtracts 1 from the color
         of every arrow out of k.  Arrows are kept per vertex pair, so each
         step visits only the colors a pair carries and the cost does not
-        depend on m.
+        depend on m.  It agrees with ``mutate`` on the quivers of
+        angulations, not on every valid quiver.
         """
         self._check_vertex(k)
         mm = self.m + 1

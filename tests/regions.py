@@ -1,4 +1,9 @@
-"""A reference for the twist, shared by the disk and verify tests."""
+"""References for the cells, the twist and the quiver read, shared by the
+model and verify tests: the vertex-cycle region split and the face-reading
+quiver that the arc-run cells replaced."""
+
+from angulator.faces import cell_vertices
+from angulator.quiver import ColoredQuiver
 
 
 def merged_region(ang, d):
@@ -7,3 +12,63 @@ def merged_region(ang, d):
     beside = [f for f in ang.faces() if d in f.sides]
     assert len(beside) == 2, f"{d} is a side of {len(beside)} faces"
     return tuple(sorted({v for f in beside for v in f.vertices}))
+
+
+def reference_split(cycle, chords):
+    """Vertex cycles of the regions a chord set cuts a polygon into, by
+    cutting along one chord at a time: ``cycle`` lists the vertices
+    clockwise, and each chord is a pair of them."""
+    out = []
+    stack = [(list(cycle), list(chords))]
+    while stack:
+        cycle, chords = stack.pop()
+        if not chords:
+            out.append(cycle)
+            continue
+        a, b = sorted(chords[0], key=cycle.index)
+        ia, ib = cycle.index(a), cycle.index(b)
+        side1 = cycle[ia : ib + 1]
+        side2 = cycle[ib:] + cycle[: ia + 1]
+        set1 = set(side1)
+        in1, in2 = [], []
+        for ch in chords[1:]:
+            u, v = ch
+            (in1 if u in set1 and v in set1 else in2).append(ch)
+        stack.append((side2, in2))
+        stack.append((side1, in1))
+    return out
+
+
+def reference_quiver(m, n, vertex, faces):
+    """Colored quiver read from public faces: ``vertex`` maps a face side
+    to the vertex of the arc it stands for, and the arrow d -> e of two
+    sides of one face gets the number of the face's sides strictly between
+    them clockwise from d."""
+    arrows = {}
+    for face in faces:
+        assert len(face.sides) == m + 2
+        spots = [(pos, vertex[s]) for pos, s in enumerate(face.sides) if s in vertex]
+        for pi, vi in spots:
+            for pj, vj in spots:
+                if vi != vj:
+                    key = (vi, vj, (pj - pi - 1) % len(face.sides))
+                    arrows[key] = arrows.get(key, 0) + 1
+    return ColoredQuiver(m, n, arrows)
+
+
+def least_rotation(cycle):
+    """A vertex cycle read from its least rotation."""
+    cycle = tuple(cycle)
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def cycles(sides, cells):
+    """Arc-run cells as their sorted vertex cycles, each read from its
+    least rotation."""
+    return sorted(least_rotation(cell_vertices(sides, c)) for c in cells)
+
+
+def reference_cycles(sides, chords):
+    """What ``cycles`` gives for the cells of a fresh split, by the
+    reference split."""
+    return sorted(least_rotation(r) for r in reference_split(range(1, sides + 1), chords))

@@ -28,10 +28,11 @@ from angulator.disk import (
     InvalidAngulation,
     NotInAngulation,
     crosses as disk_crosses,
+    region_twist,
 )
-from angulator.faces import quiver_from_faces
 from angulator.quiver import ColoredQuiver
 from angulator.verify import ANNULUS_MATRIX, random_walk
+from regions import cycles, merged_region, reference_cycles, reference_quiver
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
 C11 = AnnulusConfig(1, 1, 1)
@@ -462,14 +463,33 @@ class TestQuiverOf:
 
 
     def test_read_from_the_cut_disk_like_the_mapped_back_faces(self):
-        # the quiver renames the cut disk's sides; the faces mapped back to
-        # the annulus name their arcs themselves
+        # the quiver reads the cut disk's cells, with the bridge copies as
+        # boundary edges; the faces mapped back to the annulus name their
+        # arcs themselves, and are read by the face-reading reference
         for cfg in (C11, AnnulusConfig(1, 2, 2), C43):
             for ang, _ in random_walk(cfg, 15, 8):
                 vertex = {a: i for i, a in enumerate(ang.arcs)}
                 for ref in ang.bridges():
-                    assert ang.quiver_of() == quiver_from_faces(
+                    assert ang.quiver_of() == reference_quiver(
                         cfg.m, len(vertex), vertex, ang.faces(ref))
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_cut_cells_against_the_references(self, cfg):
+        # along walks, every cut view an angulation holds, carried from its
+        # parent or built: its cells are the reference split of its
+        # diagonals and those of a fresh cut, and its twists are those of
+        # the merged regions
+        for ang, arc in random_walk(cfg, 15, 8):
+            for obj in (ang, ang.flip(arc)):
+                for ref, view in obj._views.items():
+                    local = view.disk
+                    sides = local.config.sides
+                    fresh = DiskAngulation(local.config, local.arcs)
+                    assert cycles(sides, local._faces) == cycles(sides, fresh._faces) \
+                        == reference_cycles(sides, local.arcs)
+                    for d in local.arcs:
+                        assert local.twist(d) == region_twist(
+                            merged_region(local, d), d, cfg.m)
 
     def test_order_lists_every_arc_once(self):
         ang = initial_bridges(C43)
@@ -543,6 +563,29 @@ class TestCellSizes:
                 assert ang.is_valid() == local.is_valid()
                 outcomes[cfg.m].add(ang.is_valid())
         assert outcomes == {1: {True}, 2: {True, False}, 3: {True, False}}
+
+
+class TestNonArcEntries:
+    """An entry of the constructor of no arc class is a violation, named
+    before any other, and not a crash."""
+
+    def test_plain_tuples(self):
+        arcs = [(0, 1, 1, 0), (0, 1, 1, 1), (0, 3, 1, 1)]
+        ang = AnnulusAngulation(AnnulusConfig(2, 2, 1), arcs)
+        assert not ang.is_valid()
+        assert ang.violations() == [f"{a} is not an arc" for a in arcs] + [
+            "no bridge present"]
+        for ask in (ang.faces, ang.quiver_of, ang._require_valid):
+            with pytest.raises(InvalidAngulation, match=r"\(0, 1, 1, 0\) is not an arc"):
+                ask()
+
+    def test_named_first_then_the_others_checked(self):
+        cfg = AnnulusConfig(2, 2, 1)
+        good = [Bridge(1, 1, 0), Bridge(1, 1, 1), Bridge(3, 1, 1)]
+        assert AnnulusAngulation(cfg, good).is_valid()
+        ang = AnnulusAngulation(cfg, [good[0], (0, 1, 1, 1), good[2], Diagonal(1, 4)])
+        assert ang.violations() == [
+            "(0, 1, 1, 1) is not an arc", "(1,4) is not an arc", "4 arcs, expected 3"]
 
 
 class TestEars:

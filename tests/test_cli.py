@@ -157,6 +157,52 @@ class TestFlip:
         assert err == "error: arc index 0: the angulation has no arcs\n"
 
 
+class TestCostAtLargeM:
+    """quiver and flip work on the arcs and the gaps between them, not on
+    the boundary vertices: a rank-1 disk and a rank-2 annulus at
+    m = 1,000,000 answer at once, with the answers worked out by hand."""
+
+    M = 1_000_000
+    DISK = json.dumps({"type": "disk", "m": M, "sides": 2 * M + 2,
+                       "diagonals": [[1, M + 2]]})
+    ANNULUS = json.dumps({"type": "annulus", "m": M, "p": 1, "q": 1, "arcs": [
+        {"kind": "bridge", "outer": 1, "inner": 1, "winding": 0},
+        {"kind": "bridge", "outer": 1, "inner": 1, "winding": 1},
+    ]})
+
+    def answer(self, capsys, *argv):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert elapsed < 1.0
+        return json.loads(out)
+
+    def test_disk_quiver(self, capsys):
+        # one diagonal: one vertex, and no arrow
+        assert self.answer(capsys, "quiver", self.DISK) == {
+            "m": self.M, "vertices": 1, "arrows": []}
+
+    def test_disk_flip(self, capsys):
+        # the twist joins the vertices after 1 and after M + 2
+        out = self.answer(capsys, "flip", self.DISK, "--arc", "0")
+        assert out["diagonals"] == [[2, self.M + 3]]
+
+    def test_annulus_quiver(self, capsys):
+        # both (M+2)-gon cells hold both bridges, with no side between
+        # them one way round and M sides the other: colours 0 and M, once
+        # from each cell
+        assert self.answer(capsys, "quiver", self.ANNULUS) == {
+            "m": self.M, "vertices": 2, "arrows": [
+                {"from": 0, "to": 1, "color": 0, "mult": 2},
+                {"from": 1, "to": 0, "color": self.M, "mult": 2},
+            ]}
+
+    def test_annulus_flip(self, capsys):
+        out = self.answer(capsys, "flip", self.ANNULUS, "--arc", "0")
+        assert sorted(a["winding"] for a in out["arcs"]) == [1, 2]
+
+
 class TestVertexOutOfRange:
     DISK = json.dumps(
         {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 9]]}

@@ -24,10 +24,16 @@ from angulator.disk import (
     maximal_set_sizes,
     region_twist,
 )
-from angulator.faces import split_regions
+from angulator.faces import cell_size, cell_vertices, split_regions
 from angulator.quiver import ColoredQuiver
 from angulator.verify import COMPAT_ENUM_CAP, DISK_MATRIX, fuss_catalan, random_walk
-from regions import merged_region
+from regions import (
+    cycles,
+    least_rotation,
+    merged_region,
+    reference_cycles,
+    reference_quiver,
+)
 
 PENTAGON = DiskConfig(1, 5)
 OCTAGON = DiskConfig(2, 8)
@@ -272,35 +278,60 @@ def recursive_split(cycle, chords):
 class TestSplitRegions:
     @pytest.mark.parametrize("cfg", [DiskConfig(1, 8), DiskConfig(2, 12),
                                      DiskConfig(3, 14)], ids=repr)
-    def test_region_order_of_the_recursive_split(self, cfg):
+    def test_cells_are_the_regions_of_the_recursive_split(self, cfg):
         _, angulations = enumerate_angulations(cfg, collect=True)
         cycle = list(range(1, cfg.sides + 1))
         for ang in angulations:
             chords = [frozenset((d.a, d.b)) for d in ang.arcs]
+            cells = split_regions(cfg.sides, ang.arcs)
+            assert len(cells) == cfg.rank + 1
             for order in (chords, chords[::-1]):
-                assert split_regions(cycle, order) == recursive_split(cycle, order)
-            # a diagonal is the pair itself, and splits as its frozenset
-            assert split_regions(cycle, ang.arcs) == split_regions(cycle, chords)
+                assert cycles(cfg.sides, cells) == sorted(
+                    map(least_rotation, recursive_split(cycle, order)))
+            # plain pairs split as the diagonals do, in any order
+            pairs = [tuple(d) for d in ang.arcs]
+            assert split_regions(cfg.sides, pairs[::-1]) == cells
 
     def test_no_recursion_limit(self):
         # one chord more than the interpreter's default recursion limit
-        chords = [frozenset((1, k)) for k in range(3, 1004)]
-        regions = split_regions(list(range(1, 1005)), chords)
+        chords = [(1, k) for k in range(3, 1004)]
+        regions = [cell_vertices(1004, c) for c in split_regions(1004, chords)]
         assert sorted(map(sorted, regions)) == [[1, k, k + 1] for k in range(2, 1004)]
+
+    def test_runs_and_gaps(self):
+        # the octagon fan: the cell inside a chord starts with it run
+        # backwards; the root holds the top-level chord
+        assert sorted(split_regions(8, [Diagonal(1, 4), Diagonal(1, 6)])) == [
+            ((1, 6),), ((4, 1),), ((6, 1), (1, 4))]
+        assert split_regions(8, []) == [()]
+        assert cell_vertices(8, ((6, 1), (1, 4))) == [6, 1, 4, 5]
+        assert cell_vertices(8, ((1, 6),)) == [1, 6, 7, 8]
+        assert cell_vertices(8, ()) == list(range(1, 9))
+        # runs plus gaps: three squares, and the whole octagon
+        assert [cell_size(8, c) for c in split_regions(8, [(1, 4), (1, 6)])] == [4, 4, 4]
+        assert cell_size(8, ()) == 8
+        assert cell_size(8, ((1, 4),)) == 6  # the root of the cut along (1,4)
+
+    def test_cost_independent_of_the_side_count(self):
+        # the cells of a rank-1 disk at m = 10**9: two runs, no vertex list
+        S = 2 * 10**9 + 2
+        cells = split_regions(S, [Diagonal(1, 10**9 + 2)])
+        assert sorted(cells) == [((1, 10**9 + 2),), ((10**9 + 2, 1),)]
 
 
 class TestFaces:
     def test_pentagon_fan(self):
-        cells = sorted(f.vertices for f in pentagon_fan().faces())
-        assert cells == [(1, 2, 3), (1, 3, 4), (4, 5, 1)]
+        # each cell read from its least rotation: the first vertex is not fixed
+        cells = sorted(least_rotation(f.vertices) for f in pentagon_fan().faces())
+        assert cells == [(1, 2, 3), (1, 3, 4), (1, 4, 5)]
 
     def test_single_face(self):
         faces = initial_fan(DiskConfig(3, 5)).faces()
         assert len(faces) == 1 and faces[0].vertices == (1, 2, 3, 4, 5)
 
     def test_octagon_fan(self):
-        cells = sorted(f.vertices for f in octagon_fan().faces())
-        assert cells == [(1, 2, 3, 4), (1, 4, 5, 6), (6, 7, 8, 1)]
+        cells = sorted(least_rotation(f.vertices) for f in octagon_fan().faces())
+        assert cells == [(1, 2, 3, 4), (1, 4, 5, 6), (1, 6, 7, 8)]
 
     def test_counts_and_euler(self):
         for m, r in itertools.product((1, 2, 3), (1, 2, 3)):
@@ -336,6 +367,26 @@ class TestFaces:
         bad = DiskAngulation(PENTAGON, [Diagonal(1, 3), Diagonal(2, 4)])
         with pytest.raises(InvalidAngulation):
             bad.faces()
+
+
+class TestNonArcEntries:
+    """An entry of the constructor that is no Diagonal is a violation,
+    named before any other, and not a crash."""
+
+    def test_plain_tuples(self):
+        ang = DiskAngulation(OCTAGON, [(1, 4), (1, 6)])
+        assert not ang.is_valid()
+        assert ang.violations() == ["(1, 4) is not a diagonal", "(1, 6) is not a diagonal"]
+        for ask in (ang.faces, ang.quiver_of, ang._require_valid):
+            with pytest.raises(InvalidAngulation, match=r"\(1, 4\) is not a diagonal"):
+                ask()
+
+    def test_named_first_then_the_others_checked(self):
+        ang = DiskAngulation(OCTAGON, [(1, 3, 5), Diagonal(1, 4), Diagonal(2, 5)])
+        assert ang.violations() == [
+            "(1, 3, 5) is not a diagonal", "(1,4) crosses (2,5)", "3 diagonals, expected 2"]
+        assert DiskAngulation(OCTAGON, [(1, 4), Diagonal(1, 6)]).violations() == [
+            "(1, 4) is not a diagonal"]
 
 
 class TestTwistFlip:
@@ -393,12 +444,9 @@ def refuse(*args, **kwargs):
 
 
 def table_cells(ang):
-    """The twist table with each entry's face read from the entry's side:
-    its vertices and sides rotated to start there."""
-    return {
-        key: (face.vertices[i:] + face.vertices[:i], face.sides[i:] + face.sides[:i])
-        for key, (face, i) in ang._sides.items()
-    }
+    """The twist table with each entry's cell read from the entry's run:
+    its runs rotated to start there."""
+    return {key: cell[i:] + cell[:i] for key, (cell, i) in ang._sides.items()}
 
 
 def cells(faces):
@@ -443,6 +491,8 @@ class TestTwistTable:
             # every walked angulation but the first is a flip result
             assert ("_sides" in vars(ang)) == (step > 0)
             fresh = DiskAngulation(cfg, ang.arcs)
+            # the carried cells are the fresh ones, each read from any of
+            # its runs
             assert table_cells(ang) == table_cells(fresh)
             assert cells(ang.faces()) == cells(fresh.faces())
 
@@ -459,6 +509,36 @@ class TestTwistTable:
         ang = octagon_fan()
         assert ang.quiver_of() is ang.quiver_of()
         assert ang.quiver_of(list(ang.arcs)) == ang.quiver_of()
+
+
+class TestCellsAgainstReferences:
+    """The arc-run cells, their expansion and the quiver read from them
+    agree with the vertex-cycle split and the face-reading quiver they
+    replaced, on every angulation of the small disks and along walks."""
+
+    @staticmethod
+    def check(ang):
+        cfg = ang.config
+        assert cycles(cfg.sides, ang._faces) == reference_cycles(cfg.sides, ang.arcs)
+        faces = ang.faces()
+        assert [f.vertices for f in faces] == [
+            tuple(cell_vertices(cfg.sides, c)) for c in ang._faces]
+        vertex = {d: i for i, d in enumerate(ang.arcs)}
+        assert ang.quiver_of() == reference_quiver(cfg.m, len(vertex), vertex, faces)
+
+    @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
+    def test_every_angulation(self, cfg):
+        _, found = enumerate_angulations(cfg, collect=True)
+        for ang in found:
+            self.check(ang)
+
+    @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
+    def test_along_walks(self, cfg):
+        for ang, arc in random_walk(cfg, 40, 3):
+            # every walked angulation but the first, and its flip, holds
+            # the cells its parent's flip carried over
+            for obj in (ang, ang.flip(arc)):
+                self.check(obj)
 
 
 class TestCompletions:

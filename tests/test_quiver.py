@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from angulator.faces import Face, quiver_from_faces
+from angulator.faces import quiver_from_faces, split_regions
 from angulator.quiver import (
     ColoredQuiver,
     PlainQuiver,
@@ -198,18 +198,21 @@ class TestBoundaryChecks:
                 assert_as_if_checked(ang.quiver_of(ang.arcs[::-1]))
 
     def test_face_quiver_rejects_a_face_that_is_no_m_plus_2_gon(self):
-        # the square would give the colour 2 at m = 1
-        triangle = Face((1, 2, 3), ("x", "e", "y"))
-        square = Face((1, 2, 3, 4), ("x", "e", "f", "y"))
-        with pytest.raises(ValueError, match=r"\(1, 2, 3, 4\) has 4 sides, expected 3"):
-            quiver_from_faces(1, 2, {"x": 0, "y": 1}, [triangle, square])
+        # (1,3) and (1,5) cut a hexagon into two triangles and the square
+        # 5, 6, 1, 3 (runs plus gaps), which would give the colour 2 at m = 1
+        cells = split_regions(6, [(1, 3), (1, 5)])
+        with pytest.raises(ValueError, match=r"\(\(5, 1\), \(1, 3\)\) has 4 sides, expected 3"):
+            quiver_from_faces(1, 2, 6, {(1, 3): 0, (1, 5): 1}, {}, cells)
 
     def test_face_quiver_rejects_a_vertex_out_of_range(self):
-        triangle = Face((1, 2, 3), ("x", "e", "y"))
+        cells = split_regions(5, [(1, 3), (1, 4)])
         with pytest.raises(VertexRangeError, match=r"vertex 5 outside 0\.\.1"):
-            quiver_from_faces(1, 2, {"x": 0, "y": 5}, [triangle])
+            quiver_from_faces(1, 2, 5, {(1, 3): 0, (1, 4): 5}, {}, cells)
         with pytest.raises(VertexRangeError, match=r"vertex -1 outside 0\.\.1"):
-            quiver_from_faces(1, 2, {"x": -1, "y": 1}, [triangle])
+            quiver_from_faces(1, 2, 5, {(1, 3): -1, (1, 4): 1}, {}, cells)
+        # a boundary edge standing for an arc is checked alike
+        with pytest.raises(VertexRangeError, match=r"vertex 2 outside 0\.\.1"):
+            quiver_from_faces(1, 2, 5, {(1, 3): 0, (1, 4): 1}, {5: 2}, cells)
 
     def test_equality_reads_m_n_and_arrows(self):
         q = minimal_pair(2)
@@ -389,6 +392,18 @@ class TestProcedural:
             {(0, 1, 1): 1, (1, 0, 1): 1, (1, 2, 0): 2, (2, 1, 2): 2},
         )
         assert q.mutate_procedural(1) == q.mutate(1)
+
+    def test_differs_from_the_formula_off_angulation_quivers(self):
+        # the documented limit: a valid quiver of no angulation, on which
+        # the procedure and the formula disagree; they are compared on
+        # angulation quivers only
+        q = ColoredQuiver(2, 3, {(0, 1, 0): 1, (1, 0, 2): 1, (0, 2, 2): 1,
+                                 (2, 0, 0): 1, (1, 2, 0): 1, (2, 1, 2): 1})
+        assert q.is_valid()
+        formula, procedure = q.mutate(0), q.mutate_procedural(0)
+        assert sum(v for _, v in formula.arrows()) == 6
+        assert sum(v for _, v in procedure.arrows()) == 4
+        assert formula != procedure
 
     def test_does_not_call_the_formula(self, monkeypatch):
         q = ColoredQuiver(

@@ -11,7 +11,6 @@ from angulator.annulus import (
     initial_bridges,
 )
 from angulator import annulus, disk, faces, verify
-from angulator.faces import split_regions
 from angulator.disk import (
     Diagonal,
     DiskAngulation,
@@ -40,7 +39,7 @@ from angulator.verify import (
     random_walk,
     run_suite,
 )
-from regions import merged_region
+from regions import merged_region, reference_quiver, reference_split
 
 PENTAGON = DiskConfig(1, 5)
 WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
@@ -289,7 +288,7 @@ class TestIncrementalWalks:
             for obj in (ang, ang.flip(arc)):
                 order = rng.sample(obj.arcs, len(obj.arcs))
                 vertex = {a: i for i, a in enumerate(order)}
-                assert obj.quiver_of(order) == faces.quiver_from_faces(
+                assert obj.quiver_of(order) == reference_quiver(
                     cfg.m, len(order), vertex, obj.faces())
 
     @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
@@ -595,7 +594,7 @@ def reference_extensions(cfg, trials, seed):
         chords = [frozenset((d.a, d.b))
                   for d in (cut.to_disk(a) for a in arcs if a != cut.bridge)]
         cycle = list(range(1, cut.disk.sides + 1))
-        return all((len(r) - 2) % cfg.m == 0 for r in split_regions(cycle, chords))
+        return all((len(r) - 2) % cfg.m == 0 for r in reference_split(cycle, chords))
 
     window = cfg.p + cfg.q + 3
     rng = random.Random(seed)
