@@ -254,8 +254,8 @@ class AnnulusAngulation(Angulation):
     def _cell_problems(self) -> tuple[str, ...]:
         """The cell rule, read once the arcs are noncrossing, p+q in number
         and hold a bridge: the arcs whose diagonal is no m-diagonal of the
-        cut along the least bridge.  A set without them keeps the cut as
-        its first view.
+        cut along the least bridge.  A set without them holds that cut as
+        its ``_view``.
 
         The cut disk has N = m(p+q)+2 sides, N = 2 (mod m), and its cells
         all have size 2 (mod m) iff every chord is an m-diagonal, a chord
@@ -278,7 +278,7 @@ class AnnulusAngulation(Angulation):
             for a, d in view.diagonal.items() if not view.cut.disk.is_m_diagonal(d)
         )
         if not bad:
-            self._views[ref] = view
+            self.__dict__["_view"] = view
         return bad
 
     def violations(self) -> list[str]:
@@ -294,8 +294,14 @@ class AnnulusAngulation(Angulation):
         return AnnulusAngulation(cfg, [cfg.rebase(a, shift) for a in self.arcs])
 
     @cached_property
-    def _views(self) -> dict[Bridge, "CutView"]:
-        return {}
+    def _view(self) -> "CutView":
+        """The cut view the angulation is read in, held once built: the
+        view the flip that made it worked in, which the flip sets, or else
+        the view along the least bridge, which the cell rule sets for
+        m >= 2 as it checks and which is built here for m = 1."""
+        self._require_valid()
+        view = self.__dict__.get("_view")
+        return view if view is not None else self._cut_open(self.bridges()[0])
 
     def _cut_open(self, ref: Bridge) -> "CutView":
         """The angulation cut open along its bridge ``ref``.  The disk
@@ -307,59 +313,31 @@ class AnnulusAngulation(Angulation):
         disk.__dict__["_problems"] = ()
         return CutView(cut, diagonal, disk)
 
-    def _view(self, ref: Bridge) -> "CutView":
-        """The angulation cut open along ``ref``, built once per bridge."""
-        view = self._views.get(ref)
-        if view is None:
-            self._require_valid()
-            view = self._views[ref] = self._cut_open(ref)
-        return view
-
-    def _held_view(self, avoid: ArcClass | None = None) -> "CutView":
-        """A view this angulation holds already, inherited or built, whose
-        bridge is not ``avoid``; failing that, the view along the least
-        bridge other than ``avoid``."""
-        self._require_valid()
-        for ref, view in self._views.items():
-            if ref != avoid:
-                return view
-        # a valid angulation has two bridges at least
-        return self._view(next(b for b in self.bridges() if b != avoid))
-
     def faces(self, ref: Bridge | None = None) -> list[Face]:
         """The p+q cells: the disk faces of a cut along a bridge of the
-        angulation (``ref``, or one it holds a cut along already), mapped
-        back; the result does not depend on the bridge chosen."""
+        angulation (``ref``, or the held view's), mapped back; the result
+        does not depend on the bridge chosen.  A cut along another bridge
+        is made afresh and not kept."""
         self._require_valid()
-        if ref is not None and (type(ref) is not Bridge or ref not in self.bridges()):
-            raise NotInAngulation(f"{ref} is not a bridge of the angulation")
-        view = self._held_view() if ref is None else self._view(ref)
+        view = self._view
+        if ref is not None:
+            # checked before the comparison: a plain tuple equals the bridge
+            if type(ref) is not Bridge or ref not in self._arc_set:
+                raise NotInAngulation(f"{ref} is not a bridge of the angulation")
+            if ref != view.cut.bridge:
+                view = self._cut_open(ref)
         return [view.cut.face_back(f) for f in view.disk.faces()]
-
-    def _require_arc(self, x: ArcClass):
-        """Raise NotInAngulation unless x is one of the arcs: at once for
-        an object of no arc class, as a plain tuple equals the arc of its
-        numbers but is not one; in O(1) from a cut view the angulation
-        holds already (its diagonal map holds every arc but the cut
-        bridge); by one scan of the arcs otherwise."""
-        views = self.__dict__.get("_views")
-        if type(x) not in JSON_KIND:
-            found = False
-        elif views:
-            view = next(iter(views.values()))
-            found = x in view.diagonal or x == view.cut.bridge
-        else:
-            found = x in self.arcs
-        if not found:
-            raise NotInAngulation(f"{x} not in angulation")
 
     @once_per_arc
     def _twisted(self, x: ArcClass) -> tuple["CutView", Diagonal, Diagonal]:
-        """The view a flip at x works in, along a bridge other than x and
-        one the angulation holds if it can; x's diagonal there; and the
-        twist of that diagonal.  ``can_flip``, ``twist`` and ``flip`` share
-        it."""
-        view = self._held_view(x)
+        """The view a flip at x works in: the held one, or, when x is its
+        bridge, the cut along the least other bridge, kept only here and
+        in the flip result; x's diagonal there; and the twist of that
+        diagonal.  ``can_flip``, ``twist`` and ``flip`` share it."""
+        view = self._view
+        if x == view.cut.bridge:
+            # a valid angulation has two bridges at least
+            view = self._cut_open(next(b for b in self.bridges() if b != x))
         d = view.diagonal[x]
         return view, d, view.disk.twist(d)
 
@@ -375,17 +353,13 @@ class AnnulusAngulation(Angulation):
         """Replace x by its twist, the clockwise-next arc completing the
         rest.
 
-        The cut the twist is read in stays a cut of the result, which
-        takes it over with the flipped disk angulation, and the result is
-        checked against this angulation in O(r).
+        The result is checked against this angulation in O(r).  The cut
+        the twist is read in stays a cut of the result, which, if valid,
+        holds it as its view with the flipped disk angulation.
         """
         view, d, new_diagonal = self._twisted(x)
         new = view.cut.from_disk(new_diagonal)
         out = AnnulusAngulation(self.config, [a for a in self.arcs if a != x] + [new])
-        diagonal = {a: e for a, e in view.diagonal.items() if a != x}
-        diagonal[new] = new_diagonal
-        flipped = view.disk._flipped(d, new_diagonal)
-        out._views[view.cut.bridge] = CutView(view.cut, diagonal, flipped)
         # the cell rule, read in the cut the flip worked in: its bridge
         # stays; a fresh object names the cut along its least bridge
         problems = out._flip_problems(new)
@@ -393,8 +367,12 @@ class AnnulusAngulation(Angulation):
             problems = (f"{new} is not an m-diagonal of the cut along {view.cut.bridge}",)
         out.__dict__["_problems"] = problems
         if not problems:
+            diagonal = {a: e for a, e in view.diagonal.items() if a != x}
+            diagonal[new] = new_diagonal
+            flipped = view.disk._flipped(d, new_diagonal)
             # the view's disk takes its validity from the annulus
             flipped.__dict__["_problems"] = ()
+            out.__dict__["_view"] = CutView(view.cut, diagonal, flipped)
         return out
 
     def can_flip(self, x: ArcClass) -> bool:
@@ -438,7 +416,7 @@ class AnnulusAngulation(Angulation):
         # read from the held view's disk cells: each diagonal stands for
         # its arc, both copies of the cut bridge, the disk edges from mp+1
         # and from S, for the bridge
-        view = self._held_view()
+        view = self._view
         cut = view.cut
         vertex, edges = {}, {}
         for i, a in enumerate(self.arcs):

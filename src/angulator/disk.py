@@ -163,10 +163,11 @@ class Angulation:
     ``_problems`` is worked out by ``_flip_problems`` when it is built,
     from its valid parent and the new arc alone, in O(r).
 
-    A model class defines ``_read_quiver`` (its quiver in canonical order,
-    read from its cells), ``_require_arc`` (the ``NotInAngulation`` check,
-    in O(1) from what the angulation holds) and ``_completions`` (split
-    afresh), and ``violations``, ``twist``, ``flip``, ``faces`` and
+    Membership is one O(1) test for both models, ``_require_arc``: an arc
+    is an object of an arc class in ``_arc_set``, the set the constructor
+    sorts into ``arcs``.  A model class defines ``_read_quiver`` (its
+    quiver in canonical order, read from its cells) and ``_completions``
+    (split afresh), and ``violations``, ``twist``, ``flip``, ``faces`` and
     ``quiver_of`` in its own namespace, where the span tracer of
     ``perfbench`` finds them.
     The module functions ``completions`` check their input as the
@@ -174,14 +175,16 @@ class Angulation:
     twist, so only the annulus has ``rebased()``.
     """
 
-    __slots__ = ("config", "arcs", "__dict__")
+    __slots__ = ("config", "arcs", "_arc_set", "__dict__")
     _noun = "arcs"  # what the count message calls the arcs
     _one = "an arc"  # and what a message calls one of them
     _kinds: tuple[type, ...]  # the arc classes of the model
 
     def __init__(self, config, arcs: Iterable):
+        arc_set = frozenset(arcs)
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "arcs", tuple(sorted(set(arcs))))
+        object.__setattr__(self, "arcs", tuple(sorted(arc_set)))
+        object.__setattr__(self, "_arc_set", arc_set)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -235,6 +238,14 @@ class Angulation:
     def _require_valid(self):
         if self._problems:
             raise InvalidAngulation("; ".join(self._problems))
+
+    def _require_arc(self, x):
+        """Raise NotInAngulation unless x is one of the arcs, in O(1).  An
+        object of no arc class is refused before the set is asked, as a
+        plain tuple equals the arc of its numbers but is not one, and a
+        list is unhashable."""
+        if type(x) not in self._kinds or x not in self._arc_set:
+            raise NotInAngulation(f"{x} not in angulation")
 
     @classmethod
     def _completing(cls, config, partial: Iterable, removed) -> list:
@@ -342,28 +353,13 @@ class DiskAngulation(Angulation):
 
     @cached_property
     def _sides(self) -> dict[tuple[int, int], tuple[Cell, int]]:
-        """The cell-local twist table.  A cell runs a diagonal (a, b)
-        clockwise: the cell inside [a, b] runs it as (b, a), the cell
-        outside as (a, b).  The entry of a run (u, v) is the cell and the
-        run's index there.  A flip hands its result this table with the
-        runs of the two new cells rewritten."""
+        """The cell-local twist table, which twists and flips read; the
+        arc set, not this table, answers membership.  A cell runs a
+        diagonal (a, b) clockwise: the cell inside [a, b] runs it as
+        (b, a), the cell outside as (a, b).  The entry of a run (u, v) is
+        the cell and the run's index there.  A flip hands its result this
+        table with the runs of the two new cells rewritten."""
         return {run: (cell, i) for cell in self._faces for i, run in enumerate(cell)}
-
-    def _require_arc(self, d: Diagonal):
-        """Raise NotInAngulation unless d is one of the diagonals: in O(1)
-        from the twist table when the angulation holds one already (its
-        keys run both ways along exactly the diagonals), by one scan of
-        the diagonals otherwise."""
-        table = self.__dict__.get("_sides")
-        if type(d) is not Diagonal:
-            # a plain tuple equals the diagonal of its endpoints but is not one
-            found = False
-        elif table is None:
-            found = d in self.arcs
-        else:
-            found = (d.b, d.a) in table
-        if not found:
-            raise NotInAngulation(f"{d} not in angulation")
 
     def _around(self, d: Diagonal) -> tuple[tuple[Cell, int], tuple[Cell, int]]:
         """The entries of the cells inside and outside d."""
@@ -372,9 +368,10 @@ class DiskAngulation(Angulation):
         return self._sides[d.b, d.a], self._sides[d.a, d.b]
 
     def twist(self, d: Diagonal) -> Diagonal:
-        """Clockwise-next chord splitting the merged region around d: it
-        joins the vertex after a inside [a, b] to the vertex after b
-        outside, as ``region_twist`` of the merged region does."""
+        """Clockwise-next chord splitting the merged (2m+2)-gon around d:
+        it joins the vertex after a inside [a, b] to the vertex after b
+        outside, each end of d moved one place clockwise round the merged
+        region."""
         (inner, i), (outer, j) = self._around(d)
         S = self.config.sides
         return Diagonal(step_after(S, inner, i)[0], step_after(S, outer, j)[0])
@@ -416,16 +413,19 @@ class DiskAngulation(Angulation):
     ) -> list[Diagonal]:
         """``completions`` without the input check: ``partial`` and
         ``removed`` must form an angulation.  The partial set is split
-        afresh, and only its one open (2m+2)-gon is expanded."""
+        afresh, and only its one open (2m+2)-gon is expanded.  Each twist
+        moves both ends of the chord one place clockwise round that
+        region, so the completions step both ends from where ``removed``
+        has them; the last is ``removed`` again iff it is a diameter of the
+        region."""
         S = cfg.sides
         big = [c for c in split_regions(S, partial) if cell_size(S, c) == 2 * cfg.m + 2]
         assert len(big) == 1, "an almost-complete angulation has one open region"
-        region = tuple(cell_vertices(S, big[0]))
-        out = []
-        cur = removed
-        for _ in range(cfg.m + 1):
-            cur = region_twist(region, cur, cfg.m)
-            out.append(cur)
+        region = cell_vertices(S, big[0])
+        L = len(region)
+        x, y = region.index(removed.a), region.index(removed.b)
+        out = [Diagonal(region[(x + k) % L], region[(y + k) % L])
+               for k in range(1, cfg.m + 2)]
         assert out[-1] == removed
         return out
 
@@ -459,16 +459,6 @@ class DiskAngulation(Angulation):
             Diagonal(json_int(a, "diagonal endpoint"), json_int(b, "diagonal endpoint"))
             for a, b in data["diagonals"]
         ])
-
-
-def region_twist(region: Sequence[int], d: Diagonal, m: int) -> Diagonal:
-    """Twist of a chord inside a fixed (2m+2)-gon region cycle."""
-    L = len(region)
-    x = region.index(d.a)
-    y = region.index(d.b)
-    if (y - x) % L not in (m + 1, L - (m + 1)):
-        raise InvalidAngulation(f"{d} does not split the region {region}")
-    return Diagonal(region[(x + 1) % L], region[(y + 1) % L])
 
 
 def initial_fan(cfg: DiskConfig) -> DiskAngulation:

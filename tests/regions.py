@@ -1,7 +1,8 @@
 """References for the cells, the twist and the quiver read, shared by the
-model and verify tests: the vertex-cycle region split and the face-reading
-quiver that the arc-run cells replaced."""
+model and verify tests: the vertex-cycle region split, the region twist
+and the face-reading quiver that the arc-run cells replaced."""
 
+from angulator.disk import Diagonal, InvalidAngulation
 from angulator.faces import cell_vertices
 from angulator.quiver import ColoredQuiver
 
@@ -12,6 +13,16 @@ def merged_region(ang, d):
     beside = [f for f in ang.faces() if d in f.sides]
     assert len(beside) == 2, f"{d} is a side of {len(beside)} faces"
     return tuple(sorted({v for f in beside for v in f.vertices}))
+
+
+def region_twist(region, d, m):
+    """Twist of a chord inside a fixed (2m+2)-gon region cycle."""
+    L = len(region)
+    x = region.index(d.a)
+    y = region.index(d.b)
+    if (y - x) % L not in (m + 1, L - (m + 1)):
+        raise InvalidAngulation(f"{d} does not split the region {region}")
+    return Diagonal(region[(x + 1) % L], region[(y + 1) % L])
 
 
 def reference_split(cycle, chords):

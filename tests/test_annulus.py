@@ -4,6 +4,7 @@ import itertools
 import json
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,11 +29,16 @@ from angulator.disk import (
     InvalidAngulation,
     NotInAngulation,
     crosses as disk_crosses,
-    region_twist,
 )
 from angulator.quiver import ColoredQuiver
 from angulator.verify import ANNULUS_MATRIX, random_walk
-from regions import cycles, merged_region, reference_cycles, reference_quiver
+from regions import (
+    cycles,
+    merged_region,
+    reference_cycles,
+    reference_quiver,
+    region_twist,
+)
 
 C43 = AnnulusConfig(2, 4, 3)  # mp = 8, mq = 6
 C11 = AnnulusConfig(1, 1, 1)
@@ -357,6 +363,19 @@ class TestCompletions:
         out = completions(C11, [Bridge(1, 1, 1)], Bridge(1, 1, 0))
         assert out == [Bridge(1, 1, 2), Bridge(1, 1, 0)]
 
+    def test_two_bridges_at_large_m(self):
+        # cut along B(O1,I1,1), the region is the whole (2M+2)-gon; each
+        # completion moves the outer end one place on, O1 -> O2 -> ..., and
+        # the inner end one place on in the cut disk, I1 -> IM -> ...
+        M = 100_000
+        start = time.perf_counter()
+        out = completions(AnnulusConfig(M, 1, 1), [Bridge(1, 1, 1)], Bridge(1, 1, 0))
+        elapsed = time.perf_counter() - start
+        assert len(out) == M + 1
+        assert out[:2] == [Bridge(1, 1, 2), Bridge(2, M, 1)]
+        assert out[-2:] == [Bridge(M, 2, 1), Bridge(1, 1, 0)]
+        assert elapsed < 1.0
+
     def test_count_and_validity(self):
         ang = initial_bridges(C43)
         for arc in ang.arcs:
@@ -475,21 +494,20 @@ class TestQuiverOf:
 
     @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
     def test_cut_cells_against_the_references(self, cfg):
-        # along walks, every cut view an angulation holds, carried from its
+        # along walks, the cut view an angulation holds, carried from its
         # parent or built: its cells are the reference split of its
         # diagonals and those of a fresh cut, and its twists are those of
         # the merged regions
         for ang, arc in random_walk(cfg, 15, 8):
             for obj in (ang, ang.flip(arc)):
-                for ref, view in obj._views.items():
-                    local = view.disk
-                    sides = local.config.sides
-                    fresh = DiskAngulation(local.config, local.arcs)
-                    assert cycles(sides, local._faces) == cycles(sides, fresh._faces) \
-                        == reference_cycles(sides, local.arcs)
-                    for d in local.arcs:
-                        assert local.twist(d) == region_twist(
-                            merged_region(local, d), d, cfg.m)
+                local = obj._view.disk
+                sides = local.config.sides
+                fresh = DiskAngulation(local.config, local.arcs)
+                assert cycles(sides, local._faces) == cycles(sides, fresh._faces) \
+                    == reference_cycles(sides, local.arcs)
+                for d in local.arcs:
+                    assert local.twist(d) == region_twist(
+                        merged_region(local, d), d, cfg.m)
 
     def test_order_lists_every_arc_once(self):
         ang = initial_bridges(C43)

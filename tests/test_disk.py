@@ -1,6 +1,7 @@
 import copy
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,6 @@ from angulator.disk import (
     flip_graph,
     initial_fan,
     maximal_set_sizes,
-    region_twist,
 )
 from angulator.faces import cell_size, cell_vertices, split_regions
 from angulator.quiver import ColoredQuiver
@@ -33,6 +33,7 @@ from regions import (
     merged_region,
     reference_cycles,
     reference_quiver,
+    region_twist,
 )
 
 PENTAGON = DiskConfig(1, 5)
@@ -553,6 +554,18 @@ class TestCompletions:
     def test_rank_zero_rejected(self):
         with pytest.raises(InvalidAngulation):
             completions(DiskConfig(2, 4), [], Diagonal(1, 3))
+
+    def test_rank_one_at_large_m(self):
+        # the region is the whole (2M+2)-gon, and each completion moves
+        # both ends of the diameter one place clockwise: the cost is O(M)
+        M = 100_000
+        start = time.perf_counter()
+        out = completions(DiskConfig(M, 2 * M + 2), [], Diagonal(1, M + 2))
+        elapsed = time.perf_counter() - start
+        assert len(out) == M + 1
+        assert out[:2] == [Diagonal(2, M + 3), Diagonal(3, M + 4)]
+        assert out[-2:] == [Diagonal(M + 1, 2 * M + 2), Diagonal(1, M + 2)]
+        assert elapsed < 1.0
 
     def test_removed_out_of_range_rejected(self):
         hexagon = DiskConfig(1, 6)

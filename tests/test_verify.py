@@ -214,13 +214,29 @@ class TestIncrementalWalks:
                         continue
                     (new,) = set(outcome.arcs) - set(obj.arcs)
                     assert new == least_bridge_flip(obj, x)
-                    (used,) = outcome._views
+                    used = outcome._view.cut.bridge
                     least = min(b for b in obj.bridges() if b != x)
                     other_view += used != least
         # some flip used a view that is not the least-bridge one; with two
         # arcs the one bridge left is the least, and the rank-3 walk here
         # keeps a least bridge in its view
         assert other_view or cfg.rank <= 3
+
+    @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
+    def test_a_flip_at_the_held_bridge_keeps_the_held_view(self, cfg):
+        # the flip works in the cut along the least other bridge, which the
+        # result holds; the angulation flipped keeps the view it held
+        flipped = 0
+        for ang, _ in random_walk(cfg, 12, 4):
+            held = ang._view
+            ref = held.cut.bridge
+            if not ang.can_flip(ref):
+                continue
+            out = ang.flip(ref)
+            assert ang._view is held
+            assert out._view.cut.bridge == min(b for b in ang.bridges() if b != ref)
+            flipped += 1
+        assert flipped
 
     @pytest.mark.parametrize("cfg", ANNULUS_MATRIX, ids=repr)
     def test_one_flip_per_arc(self, cfg):
@@ -378,12 +394,18 @@ class TestFlipValidity:
             for obj in (parent, out):
                 fresh = type(obj)(obj.config, obj.arcs)
                 assert obj.violations() == fresh.violations() == []
-                for ref, view in getattr(obj, "_views", {}).items():
-                    cut = annulus.BridgeCut(cfg, ref)
-                    local = DiskAngulation(
-                        cut.disk, [cut.to_disk(a) for a in obj.arcs if a != ref])
-                    assert view.disk == local
-                    assert view.disk.violations() == local.violations() == []
+                if isinstance(cfg, DiskConfig):
+                    continue
+                # the parent holds the view its flip worked in, and the
+                # flip result the one that flip carried over
+                assert "_view" in vars(obj)
+                view = obj._view
+                ref = view.cut.bridge
+                cut = annulus.BridgeCut(cfg, ref)
+                local = DiskAngulation(
+                    cut.disk, [cut.to_disk(a) for a in obj.arcs if a != ref])
+                assert view.disk == local
+                assert view.disk.violations() == local.violations() == []
 
     @pytest.mark.parametrize("wrong", ["crossing", "duplicate"])
     def test_a_wrong_disk_twist_makes_the_flip_invalid(self, monkeypatch, wrong):
@@ -400,7 +422,9 @@ class TestFlipValidity:
     def test_a_wrong_disk_twist_makes_the_annulus_flip_invalid(self, monkeypatch, wrong):
         ang = initial_bridges(AnnulusConfig(2, 2, 2))
         x = ang.arcs[0]
-        view = ang._held_view(x)
+        # the view the flip at the least bridge x works in, built here
+        # without asking the angulation, which would keep the real twist
+        view = ang._cut_open(ang.bridges()[1])
         others = [e for a, e in view.diagonal.items() if a != x]
         if wrong == "crossing":
             bad = next(d for d in view.cut.disk.all_diagonals()
@@ -448,18 +472,17 @@ class TestAngulationInterface:
 
     @pytest.mark.parametrize("cfg", [DiskConfig(2, 14), AnnulusConfig(2, 4, 3)], ids=repr)
     def test_flip_results_find_their_arcs_without_comparing_them(self, cfg, monkeypatch):
-        # a flip result answers membership from its twist table or cut view,
-        # not by comparing the arc with its arcs one by one: a scan makes
-        # r(r-1)/2 comparisons for can_flip over all r arcs
+        # an angulation, fresh or a flip result, answers membership from
+        # its arc set, not by comparing the arc with its arcs one by one: a
+        # scan makes r(r-1)/2 comparisons for can_flip over all r arcs
         calls = {}
         for cls in (Diagonal, annulus.Bridge, annulus.OuterChord, annulus.InnerChord):
             monkeypatch.setattr(cls, "__eq__", counted(calls, "eq", cls.__eq__))
-        for ang, _ in list(random_walk(cfg, 6, 3))[1:]:
+        for ang, _ in random_walk(cfg, 6, 3):
             calls.clear()
             assert all(ang.can_flip(x) for x in ang.arcs)
             # a lookup compares at most on a hash collision (an outer and an
-            # inner chord of equal start and span), and the annulus compares
-            # its cut view's bridge with itself
+            # inner chord of equal start and span)
             assert calls.get("eq", 0) <= len(ang.arcs)
             assert all(ang.can_flip(copy.copy(x)) for x in ang.arcs)
             x = ang.arcs[0]
@@ -488,10 +511,10 @@ class TestAngulationInterface:
                     with pytest.raises(NotInAngulation):
                         ask(stranger)
 
-        assert not ang.__dict__.get("_views") and "_sides" not in ang.__dict__
+        assert "_view" not in ang.__dict__ and "_sides" not in ang.__dict__
         refuse_all()
         ang.flip(x)
-        assert ang.__dict__.get("_views") or "_sides" in ang.__dict__
+        assert "_view" in ang.__dict__ or "_sides" in ang.__dict__
         refuse_all()
         if isinstance(cfg, AnnulusConfig):
             for stranger in strangers:
@@ -675,7 +698,6 @@ class TestOracleIndependence:
     def test_enumeration_and_maximal_sets(self, monkeypatch):
         monkeypatch.setattr(DiskAngulation, "flip", refuse)
         monkeypatch.setattr(DiskAngulation, "twist", refuse)
-        monkeypatch.setattr(disk, "region_twist", refuse)
         monkeypatch.setattr(verify, "fuss_catalan", refuse)
         cfg = DiskConfig(2, 12)
         count, found = enumerate_angulations(cfg, collect=True)
