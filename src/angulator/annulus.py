@@ -434,7 +434,7 @@ class AnnulusAngulation(Angulation):
         return {"type": "annulus", "m": cfg.m, "p": cfg.p, "q": cfg.q, "arcs": arcs}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "AnnulusAngulation":
+    def parse_json(cls, data: dict) -> tuple[AnnulusConfig, list[ArcClass]]:
         cfg = AnnulusConfig(*(json_int(data[f], f) for f in ("m", "p", "q")))
         arcs = []
         for a in data["arcs"]:
@@ -444,7 +444,7 @@ class AnnulusAngulation(Angulation):
             if make is None:
                 raise ValueError(f"unknown arc kind {kind!r}")
             arcs.append(make(*(json_int(a[f], f) for f in make.__match_args__)))
-        return cls(cfg, arcs)
+        return cfg, arcs
 
 
 def initial_bridges(cfg: AnnulusConfig) -> AnnulusAngulation:

@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from collections import Counter
 
 from . import annulus as ann
 from . import disk
@@ -65,6 +66,8 @@ def _dump(data: dict) -> str:
 def _load_quiver(data: dict) -> ColoredQuiver:
     try:
         quiver = ColoredQuiver.from_json_dict(data)
+    except VertexRangeError as exc:  # an arrow at a vertex beyond the quiver
+        raise CliError(EXIT_RANGE, str(exc))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(EXIT_BAD_JSON, f"malformed quiver JSON: {exc}")
     problems = quiver.validate()
@@ -82,13 +85,18 @@ def _load_angulation(data: dict):
     if model is None:
         raise CliError(EXIT_BAD_JSON, f"unknown model type {kind!r}")
     try:
-        angulation = model.from_json_dict(data)
+        config, listed = model.parse_json(data)
+        angulation = model(config, listed)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise CliError(EXIT_BAD_JSON, f"malformed angulation JSON: {exc}")
     try:
         problems = angulation.violations()
     except IndexError as exc:  # a boundary vertex beyond the polygon
         raise CliError(EXIT_RANGE, str(exc))
+    if len(listed) != len(angulation.arcs):
+        # the angulation holds the set of the arcs listed: name each repeat
+        problems = [f"{a} is listed {n} times"
+                    for a, n in Counter(listed).items() if n > 1] + problems
     if problems:
         raise CliError(EXIT_INVALID, "invalid angulation: " + "; ".join(problems))
     return angulation

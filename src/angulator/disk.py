@@ -166,8 +166,9 @@ class Angulation:
     Membership is one O(1) test for both models, ``_require_arc``: an arc
     is an object of an arc class in ``_arc_set``, the set the constructor
     sorts into ``arcs``.  A model class defines ``_read_quiver`` (its
-    quiver in canonical order, read from its cells) and ``_completions``
-    (split afresh), and ``violations``, ``twist``, ``flip``, ``faces`` and
+    quiver in canonical order, read from its cells), ``_completions``
+    (split afresh) and ``parse_json`` (its configuration and arcs from
+    JSON, as listed), and ``violations``, ``twist``, ``flip``, ``faces`` and
     ``quiver_of`` in its own namespace, where the span tracer of
     ``perfbench`` finds them.
     The module functions ``completions`` check their input as the
@@ -246,6 +247,13 @@ class Angulation:
         list is unhashable."""
         if type(x) not in self._kinds or x not in self._arc_set:
             raise NotInAngulation(f"{x} not in angulation")
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        """The angulation of a ``to_json_dict`` record.  The model's
+        ``parse_json`` reads its configuration and its arcs as listed,
+        with every field checked; an arc listed twice is kept once."""
+        return cls(*cls.parse_json(data))
 
     @classmethod
     def _completing(cls, config, partial: Iterable, removed) -> list:
@@ -453,12 +461,12 @@ class DiskAngulation(Angulation):
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "DiskAngulation":
+    def parse_json(cls, data: dict) -> tuple[DiskConfig, list[Diagonal]]:
         cfg = DiskConfig(json_int(data["m"], "m"), json_int(data["sides"], "sides"))
-        return cls(cfg, [
+        return cfg, [
             Diagonal(json_int(a, "diagonal endpoint"), json_int(b, "diagonal endpoint"))
             for a, b in data["diagonals"]
-        ])
+        ]
 
 
 def initial_fan(cfg: DiskConfig) -> DiskAngulation:

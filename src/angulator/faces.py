@@ -150,7 +150,7 @@ def quiver_from_faces(
         read.append(spots)
     for v in (*vertex.values(), *edges.values()):
         if not 0 <= v < n:
-            raise VertexRangeError(f"vertex {v} outside 0..{n - 1}")
+            raise VertexRangeError.of(f"vertex {v}", n)
     arrows = {}
     for spots in read:
         for pi, vi in spots:

@@ -19,6 +19,14 @@ from typing import Iterable, Iterator, Mapping
 class VertexRangeError(IndexError):
     """A vertex index lies outside 0..n-1."""
 
+    @classmethod
+    def of(cls, what: str, n: int) -> "VertexRangeError":
+        """The error naming ``what``, which holds an index outside 0..n-1;
+        a quiver without vertices is said to have none."""
+        if n == 0:
+            return cls(f"{what}: the quiver has no vertices")
+        return cls(f"{what} outside 0..{n - 1}")
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -92,7 +100,7 @@ class ColoredQuiver:
         mult = _as_arrow_dict(arrows)
         for i, j, c in mult:
             if not (0 <= i < n and 0 <= j < n):
-                raise VertexRangeError(f"arrow ({i}, {j}) outside 0..{n - 1}")
+                raise VertexRangeError.of(f"arrow ({i}, {j})", n)
             if not (0 <= c <= m):
                 raise ValueError(f"color {c} outside 0..{m}")
         _fill(self, m, n, mult)
@@ -172,7 +180,7 @@ class ColoredQuiver:
 
     def _check_vertex(self, k):
         if not (0 <= k < self.n):
-            raise VertexRangeError(f"vertex {k} outside 0..{self.n - 1}")
+            raise VertexRangeError.of(f"vertex {k}", self.n)
 
     def _relabelled(self, vertex) -> "ColoredQuiver":
         """The quiver with vertex i renamed ``vertex[i]``; ``vertex`` must

@@ -346,6 +346,33 @@ def check_cut_transport(cfg, cases) -> VerificationReport:
     return report
 
 
+def _maximal_pool(cfg: ann.AnnulusConfig) -> list[ann.ArcClass]:
+    """The arcs a maximal-set trial draws from: every bridge with winding
+    at most p+q+3 from zero, then every chord of span 1 (mod m) short of
+    its whole boundary.  Each is an m-diagonal by construction."""
+    window = cfg.p + cfg.q + 3
+    pool = []
+    for o in range(1, cfg.outer_len + 1):
+        for i in range(1, cfg.inner_len + 1):
+            pool.extend(ann.Bridge(o, i, w) for w in range(-window, window + 1))
+    for boundary, kind in ((cfg.outer_len, ann.OuterChord),
+                           (cfg.inner_len, ann.InnerChord)):
+        for s in range(1, boundary + 1):
+            for t in range(cfg.m + 1, boundary, cfg.m):
+                pool.append(kind(s, t))
+    return pool
+
+
+def _compatible_ids(cut: ann.BridgeCut, diagonals, ids) -> set[int]:
+    """The pool ids of the arcs that neither cross nor are the cut bridge
+    and whose image in the cut disk is an m-diagonal: the arcs of the
+    m-diagonals ``diagonals`` of ``cut.disk``, read back through the cut.
+    The two loop diagonals, m-diagonals only for m = 1, stand for no arc
+    and are skipped, and so is an arc outside the pool."""
+    arcs = (cut.from_disk(d) for d in diagonals if not cut.encloses(d))
+    return {ids[a] for a in arcs if a in ids}
+
+
 def check_annulus_maximal(
     cfg: ann.AnnulusConfig, trials: int, seed: int
 ) -> VerificationReport:
@@ -355,52 +382,43 @@ def check_annulus_maximal(
     (parallel bridges can dissect into cells smaller than (m+2)-gons), so
     extension steps must keep every cell size 2 (mod m); the maximal sets
     reached this way are exactly the (m+2)-angulations.
+
+    Each trial's first arc is a bridge, and it stays chosen: the trial
+    cuts along it.  The cells of the chosen set all have size 2 (mod m)
+    iff every other chosen arc is an m-diagonal of the cut disk (the
+    argument is in ``AnnulusAngulation._cell_problems``), and the arcs
+    that do not cross the bridge are exactly the arcs of the cut disk's
+    diagonals.  So the candidates of a trial are the m-diagonals of the
+    cut disk read back through ``BridgeCut.from_disk``; every trial cuts
+    to the same disk, whose m-diagonals are listed once.
     """
-    window = cfg.p + cfg.q + 3
     with VerificationReport(f"maximal-sets {cfg}") as report:
         rng = random.Random(seed)
-        pool = []
-        for o in range(1, cfg.outer_len + 1):
-            for i in range(1, cfg.inner_len + 1):
-                pool.extend(ann.Bridge(o, i, w) for w in range(-window, window + 1))
-        for boundary, kind in ((cfg.outer_len, ann.OuterChord),
-                               (cfg.inner_len, ann.InnerChord)):
-            for s in range(1, boundary + 1):
-                for t in range(cfg.m + 1, boundary, cfg.m):
-                    pool.append(kind(s, t))
-        pool = [a for a in pool if cfg.is_m_diagonal(a)]
+        pool = _maximal_pool(cfg)
         ids = {a: i for i, a in enumerate(pool)}
+        diagonals = DiskConfig(cfg.m, cfg.outer_len + cfg.inner_len + 2).all_diagonals()
         crosses = ann.crosses
         for _ in range(trials):
-            first = ids[ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
-                                   rng.randrange(1, cfg.inner_len + 1),
-                                   rng.randrange(-1, 2))]
-            bridge = pool[first]
+            bridge = ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
+                                rng.randrange(1, cfg.inner_len + 1),
+                                rng.randrange(-1, 2))
             order = rng.sample(range(len(pool)), len(pool))
-            # every candidate meets the first bridge: its whole crossing
-            # row in one pass, then the arcs chosen later one by one
-            blocked = [crosses(cfg, a, bridge) for a in pool]
-            blocked[first] = True
-            later = []
-            # The first arc is a bridge and stays chosen: cut along it.
-            # The cells of the chosen set all have size 2 (mod m) iff every
-            # chosen arc is an m-diagonal of the cut disk (the argument is
-            # in ``AnnulusAngulation._cell_problems``), so the rule reads
-            # the candidate alone.  As an arc crossing a chosen arc still
+            candidates = _compatible_ids(ann.BridgeCut(cfg, bridge), diagonals, ids)
+            # the candidates in the order drawn, each against the arcs
+            # chosen before it.  As an arc crossing a chosen arc still
             # crosses it later, every rejection is final: one pass over
             # ``order`` adds all that passes repeated until none adds an
             # arc would.
-            cut = ann.BridgeCut(cfg, bridge)
+            later = []
             for idx in order:
-                if blocked[idx]:
+                if idx not in candidates:
                     continue
                 arc = pool[idx]
                 for other in later:
                     if crosses(cfg, arc, other):
                         break
                 else:
-                    if cut.disk.is_m_diagonal(cut.to_disk(arc)):
-                        later.append(arc)
+                    later.append(arc)
             result = ann.AnnulusAngulation(cfg, [bridge, *later])
             chosen = list(result.arcs)
             if not report.passes(len(chosen) == cfg.rank):

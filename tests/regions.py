@@ -1,7 +1,9 @@
 """References for the cells, the twist and the quiver read, shared by the
 model and verify tests: the vertex-cycle region split, the region twist
-and the face-reading quiver that the arc-run cells replaced."""
+and the face-reading quiver that the arc-run cells replaced, and the arc
+pool of the annulus maximal-set trials."""
 
+from angulator.annulus import Bridge, InnerChord, OuterChord
 from angulator.disk import Diagonal, InvalidAngulation
 from angulator.faces import cell_vertices
 from angulator.quiver import ColoredQuiver
@@ -83,3 +85,15 @@ def reference_cycles(sides, chords):
     """What ``cycles`` gives for the cells of a fresh split, by the
     reference split."""
     return sorted(least_rotation(r) for r in reference_split(range(1, sides + 1), chords))
+
+
+def maximal_set_pool(cfg):
+    """The arc pool of ``check_annulus_maximal``: bridges with windings
+    up to p+q+3 from zero, and the chords that are m-diagonals."""
+    window = cfg.p + cfg.q + 3
+    pool = [Bridge(o, i, w) for o in range(1, cfg.outer_len + 1)
+            for i in range(1, cfg.inner_len + 1) for w in range(-window, window + 1)]
+    for kind, length in ((OuterChord, cfg.outer_len), (InnerChord, cfg.inner_len)):
+        pool += [kind(s, t) for s in range(1, length + 1)
+                 for t in range(cfg.m + 1, length, cfg.m)]
+    return [a for a in pool if cfg.is_m_diagonal(a)]

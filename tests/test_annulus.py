@@ -34,6 +34,7 @@ from angulator.quiver import ColoredQuiver
 from angulator.verify import ANNULUS_MATRIX, random_walk
 from regions import (
     cycles,
+    maximal_set_pool,
     merged_region,
     reference_cycles,
     reference_quiver,
@@ -793,18 +794,6 @@ def reference_sort_key(arc):
     if isinstance(arc, OuterChord):
         return (1, arc.start, arc.span)
     return (2, arc.start, arc.span)
-
-
-def maximal_set_pool(cfg):
-    """The arc pool of ``check_annulus_maximal``: bridges with windings
-    up to p+q+3 from zero, and the chords that are m-diagonals."""
-    window = cfg.p + cfg.q + 3
-    pool = [Bridge(o, i, w) for o in range(1, cfg.outer_len + 1)
-            for i in range(1, cfg.inner_len + 1) for w in range(-window, window + 1)]
-    for kind, length in ((OuterChord, cfg.outer_len), (InnerChord, cfg.inner_len)):
-        pool += [kind(s, t) for s in range(1, length + 1)
-                 for t in range(cfg.m + 1, length, cfg.m)]
-    return [a for a in pool if cfg.is_m_diagonal(a)]
 
 
 # sha256 of the repr and the JSON text of every angulation of a 25-step

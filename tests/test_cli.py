@@ -221,6 +221,27 @@ class TestVertexOutOfRange:
         assert code == 4 and out == "" and err.startswith("error:")
 
 
+class TestQuiverVertexOutOfRange:
+    # an index beyond the vertices exits 4 wherever it stands, as -k does
+    def quiver(self, n, *arrows):
+        return json.dumps({"m": 1, "vertices": n, "arrows": [
+            {"from": i, "to": j, "color": 0, "mult": 1} for i, j in arrows]})
+
+    @pytest.mark.parametrize("argv", [["validate"], ["mutate", "-k", "0"]])
+    def test_arrow_beyond_the_vertices_exit_4(self, capsys, argv):
+        bad = self.quiver(2, (0, 2), (2, 0))
+        code, out, err = run(capsys, argv[0], bad, *argv[1:])
+        assert (code, out) == (4, "")
+        assert err == "error: arrow (0, 2) outside 0..1\n"
+
+    def test_no_vertices(self, capsys):
+        code, out, err = run(capsys, "mutate", self.quiver(0), "-k", "0")
+        assert (code, out, err) == (4, "", "error: vertex 0: the quiver has no vertices\n")
+        code, out, err = run(capsys, "validate", self.quiver(0, (0, 1)))
+        assert (code, out) == (4, "")
+        assert err == "error: arrow (0, 1): the quiver has no vertices\n"
+
+
 class TestUsageErrors:
     def expect_usage_error(self, capsys, *argv):
         with pytest.raises(SystemExit) as exc:
@@ -408,6 +429,29 @@ VIOLATIONS = {
          "3 arcs, expected 4", "no bridge present"],
     ),
 }
+
+
+class TestRepeatedArc:
+    # the angulation holds a set, so a repeat is named apart, and exits 3
+    # like any other invalid angulation
+    DISK = {"type": "disk", "m": 1, "sides": 5, "diagonals": [[1, 3], [1, 3]]}
+    ANNULUS = dict(json.loads(ANNULUS_11), arcs=[_bridge(1, 1, 0)] * 3)
+
+    @pytest.mark.parametrize("argv", [["validate"], ["quiver"], ["flip", "--arc", "0"]])
+    @pytest.mark.parametrize("data, expected", [
+        (DISK, "(1,3) is listed 2 times; 1 diagonals, expected 2"),
+        (ANNULUS, "B(O1,I1,0) is listed 3 times; 1 arcs, expected 2"),
+    ], ids=["disk", "annulus"])
+    def test_named_and_exit_3(self, capsys, argv, data, expected):
+        code, out, err = run(capsys, argv[0], json.dumps(data), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"error: invalid angulation: {expected}\n"
+
+    def test_a_repeat_in_a_valid_set_exit_3(self, capsys):
+        fan = json.loads(PENTAGON_FAN)
+        again = dict(fan, diagonals=fan["diagonals"] + [[1, 4]])
+        code, out, err = run(capsys, "validate", json.dumps(again))
+        assert (code, out, err) == (3, "", "error: invalid angulation: (1,4) is listed 2 times\n")
 
 
 class TestModelType:

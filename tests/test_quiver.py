@@ -277,6 +277,14 @@ class TestMutate:
         with pytest.raises(VertexRangeError):
             minimal_pair().mutate_procedural(-1)
 
+    def test_no_vertices_named_as_such(self):
+        # not "outside 0..-1"
+        with pytest.raises(VertexRangeError, match=r"^vertex 0: the quiver has no vertices$"):
+            ColoredQuiver(1, 0).mutate_inverse(0)
+        with pytest.raises(VertexRangeError,
+                           match=r"^arrow \(0, 1\): the quiver has no vertices$"):
+            ColoredQuiver(1, 0, {(0, 1, 0): 1})
+
     @given(valid_quivers(), st.integers(0, 3))
     @settings(max_examples=200)
     def test_no_loops_and_symmetry_always_survive(self, q, k):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import random
 
@@ -39,7 +40,7 @@ from angulator.verify import (
     random_walk,
     run_suite,
 )
-from regions import merged_region, reference_quiver, reference_split
+from regions import maximal_set_pool, merged_region, reference_quiver, reference_split
 
 PENTAGON = DiskConfig(1, 5)
 WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
@@ -667,18 +668,46 @@ def checked_extensions(monkeypatch, cfg, trials, seed):
     return report, built
 
 
+MAXIMAL_SET_ANNULI = ANNULUS_MATRIX + [
+    AnnulusConfig(3, 2, 2), AnnulusConfig(2, 5, 3), AnnulusConfig(1, 5, 4)]
+
+
 class TestAnnulusMaximal:
-    @pytest.mark.parametrize(
-        "cfg",
-        ANNULUS_MATRIX + [AnnulusConfig(3, 2, 2), AnnulusConfig(2, 5, 3),
-                          AnnulusConfig(1, 5, 4)],
-        ids=repr,
-    )
+    @pytest.mark.parametrize("cfg", MAXIMAL_SET_ANNULI, ids=repr)
     def test_chosen_sets_equal_the_reference(self, monkeypatch, cfg):
         for seed in range(4):
             report, built = checked_extensions(monkeypatch, cfg, 30, seed)
             assert report.passed and report.cases == 60
             assert built == reference_extensions(cfg, 30, seed)
+
+    @pytest.mark.parametrize("cfg", MAXIMAL_SET_ANNULI, ids=repr)
+    def test_pool_holds_only_m_diagonals(self, cfg):
+        # the pool is not filtered: every bridge and chord it generates is
+        # an m-diagonal by construction
+        pool = verify._maximal_pool(cfg)
+        assert all(cfg.is_m_diagonal(a) for a in pool)
+        assert pool == maximal_set_pool(cfg)
+
+    @pytest.mark.parametrize("cfg", MAXIMAL_SET_ANNULI, ids=repr)
+    def test_candidates_equal_the_crossing_row(self, cfg):
+        # for every first bridge a trial can draw, the arcs the cut gives
+        # are the pool arcs that annulus.crosses says miss the bridge and
+        # whose to_disk image is an m-diagonal of the cut disk.  The report
+        # cannot tell a from_disk that leaves arcs out: the sets it builds
+        # are still angulations of the right size
+        pool = maximal_set_pool(cfg)
+        ids = {a: i for i, a in enumerate(pool)}
+        cut_disk = DiskConfig(cfg.m, cfg.outer_len + cfg.inner_len + 2)
+        diagonals = cut_disk.all_diagonals()
+        for o, i, w in itertools.product(range(1, cfg.outer_len + 1),
+                                         range(1, cfg.inner_len + 1), (-1, 0, 1)):
+            bridge = annulus.Bridge(o, i, w)
+            cut = annulus.BridgeCut(cfg, bridge)
+            assert cut.disk == cut_disk
+            row = {ids[a] for a in pool if a != bridge
+                   and not annulus.crosses(cfg, a, bridge)
+                   and cut_disk.is_m_diagonal(cut.to_disk(a))}
+            assert verify._compatible_ids(cut, diagonals, ids) == row, bridge
 
     @pytest.mark.parametrize("cfg", [c for c in ANNULUS_MATRIX if c.m == 2],
                              ids=repr)
@@ -723,31 +752,38 @@ class TestOracleIndependence:
             assert report.passed and report.cases == 30
 
     def test_maximal_sets_fail_when_every_arc_crosses(self, monkeypatch):
-        # the first bridge's crossing row is read through annulus.crosses:
-        # it blocks every candidate, and each trial stops at one arc
+        # each candidate is tested against the arcs chosen before it
+        # through annulus.crosses: the first is taken and blocks all the
+        # others, and each trial stops at two arcs
         monkeypatch.setattr(annulus, "crosses", lambda cfg, x, y: True)
         report = check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
         assert report.cases == 30 and len(report.failures) == 30
-        assert report.failures[0].actual == "1"
+        assert [f.actual for f in report.failures if f.expected == "7"] == ["2"] * 15
 
     def test_maximal_sets_fail_when_no_arc_crosses(self, monkeypatch):
-        # with annulus.crosses blind, the first bridge's row lets through
-        # arcs that cross that bridge, which the cut along it cannot place;
-        # a private copy of the bridge rule would keep them from the cut
-        real_crosses, real_to_disk = annulus.crosses, annulus.BridgeCut.to_disk
-
-        class CrossesTheCut(Exception):
-            pass
-
-        def to_disk(cut, arc):
-            if real_crosses(cut.cfg, arc, cut.bridge):
-                raise CrossesTheCut(arc)
-            return real_to_disk(cut, arc)
-
+        # with annulus.crosses blind, each trial takes the first bridge and
+        # every candidate of its cut: the 48 m-diagonals of the cut 16-gon
         monkeypatch.setattr(annulus, "crosses", lambda cfg, x, y: False)
-        monkeypatch.setattr(annulus.BridgeCut, "to_disk", to_disk)
-        with pytest.raises(CrossesTheCut):
-            check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
+        report = check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
+        assert report.cases == 30 and len(report.failures) == 30
+        assert [f.actual for f in report.failures if f.expected == "7"] == ["49"] * 15
+
+    def test_maximal_sets_fail_when_the_cut_reads_back_wrong(self, monkeypatch):
+        # the candidates are the cut disk's m-diagonals read back through
+        # the public BridgeCut.from_disk, not through a private copy of its
+        # rule: shifting the winding of each bridge it gives by one makes
+        # the report fail
+        real_from_disk = annulus.BridgeCut.from_disk
+
+        def from_disk(cut, diag):
+            arc = real_from_disk(cut, diag)
+            if type(arc) is annulus.Bridge:
+                return annulus.Bridge(arc.outer, arc.inner, arc.winding + 1)
+            return arc
+
+        monkeypatch.setattr(annulus.BridgeCut, "from_disk", from_disk)
+        report = check_annulus_maximal(AnnulusConfig(2, 4, 3), trials=15, seed=5)
+        assert report.cases == 30 and len(report.failures) == 17
 
     def test_counts_run_each_oracle_once(self, monkeypatch):
         calls = {}
