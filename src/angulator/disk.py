@@ -19,12 +19,13 @@ from typing import Iterable, Iterator, Sequence
 from .faces import (
     Cell,
     Face,
+    Table,
     cell_size,
     cell_vertices,
+    flip_cells,
     quiver_from_faces,
     split_regions,
-    step_after,
-    twist_cells,
+    twist_ends,
 )
 from .quiver import ColoredQuiver, json_int
 
@@ -360,29 +361,23 @@ class DiskAngulation(Angulation):
         return out
 
     @cached_property
-    def _sides(self) -> dict[tuple[int, int], tuple[Cell, int]]:
+    def _sides(self) -> Table:
         """The cell-local twist table, which twists and flips read; the
         arc set, not this table, answers membership.  A cell runs a
         diagonal (a, b) clockwise: the cell inside [a, b] runs it as
         (b, a), the cell outside as (a, b).  The entry of a run (u, v) is
-        the cell and the run's index there.  A flip hands its result this
-        table with the runs of the two new cells rewritten."""
+        the cell and the run's index there.  A flip hands its result the
+        table that ``flip_cells`` rewrites."""
         return {run: (cell, i) for cell in self._faces for i, run in enumerate(cell)}
-
-    def _around(self, d: Diagonal) -> tuple[tuple[Cell, int], tuple[Cell, int]]:
-        """The entries of the cells inside and outside d."""
-        self._require_arc(d)
-        self._require_valid()
-        return self._sides[d.b, d.a], self._sides[d.a, d.b]
 
     def twist(self, d: Diagonal) -> Diagonal:
         """Clockwise-next chord splitting the merged (2m+2)-gon around d:
         it joins the vertex after a inside [a, b] to the vertex after b
         outside, each end of d moved one place clockwise round the merged
-        region."""
-        (inner, i), (outer, j) = self._around(d)
-        S = self.config.sides
-        return Diagonal(step_after(S, inner, i)[0], step_after(S, outer, j)[0])
+        region (``twist_ends``)."""
+        self._require_arc(d)
+        self._require_valid()
+        return Diagonal(*twist_ends(self.config.sides, self._sides, d))
 
     @once_per_arc
     def flip(self, d: Diagonal) -> "DiskAngulation":
@@ -396,20 +391,14 @@ class DiskAngulation(Angulation):
     def _flipped(self, d: Diagonal, new: Diagonal) -> "DiskAngulation":
         """d replaced by its twist ``new``, with no validity set.
 
-        Only the two cells beside d change: the twist splits their union
-        the other way.  The two new cells come from the old ones alone, so
-        a wrong ``new`` gives a result whose arcs its check flags.  The
-        result takes the other cells and the twist table over, with the
-        entries of the two new cells rewritten.
+        Only the two cells beside d change: ``flip_cells`` splits their
+        union the other way.  The two new cells come from the old ones
+        alone, so a wrong ``new`` gives a result whose arcs its check
+        flags.  The result takes the other cells over, and the twist table
+        that ``flip_cells`` rewrites.
         """
-        a, b = d
-        (inner, i), (outer, j) = self._sides[b, a], self._sides[a, b]
-        halves = twist_cells(self.config.sides, inner, i, outer, j)
+        (inner, outer), halves, table = flip_cells(self.config.sides, self._sides, d)
         out = DiskAngulation(self.config, [e for e in self.arcs if e != d] + [new])
-        table = dict(self._sides)
-        del table[a, b], table[b, a]
-        for cell in halves:
-            table.update((run, (cell, n)) for n, run in enumerate(cell))
         kept = tuple(c for c in self._faces if c is not inner and c is not outer)
         # fills the cached properties
         out.__dict__.update(_faces=kept + halves, _sides=table)
@@ -648,30 +637,53 @@ class FlipGraph:
 
 
 def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
-    """BFS over flips starting from the initial fan.
+    """The flip graph, searched from the initial fan, the last node found
+    first; the nodes are listed in the order they are found.
 
-    A child is keyed by the bitmask of its diagonal ids, known from the
-    twist alone, so only an angulation not seen before is built by a flip.
+    A node is the bitmask of its diagonal ids in ``cfg.crossing_table``,
+    held with the twist table its parent's flip left.  For each of its
+    diagonals the twist is read from the table (``twist_ends``) and the
+    child is checked in O(1) against the crossing table: the twist is an
+    m-diagonal, is not already a diagonal of the node, and crosses none
+    of the others.  Else InvalidAngulation is raised.  So every child is
+    a noncrossing set of rank m-diagonals, an angulation.  Only a child
+    not seen before gets cells, by one cell flip (``flip_cells``); the
+    nodes are built as angulations once, at the end.
     """
     _check_guard(cfg, guard)
-    bit = {d: 1 << i for i, d in enumerate(cfg.crossing_table[0])}
+    diagonals, cross_mask = cfg.crossing_table
+    sides = cfg.sides
+    # the twist comes as a pair of ends in either order
+    ids = {}
+    for n, (a, b) in enumerate(diagonals):
+        ids[a, b] = ids[b, a] = n
     start = initial_fan(cfg)
-    key = sum(bit[d] for d in start.arcs)
+    key = sum(1 << ids[d] for d in start.arcs)
     index = {key: 0}
-    order = [start]
+    keys = [key]
     edges = set()
-    queue = [(start, key)]
+    queue = [(key, start._sides)]
     while queue:
-        node, key = queue.pop()
+        key, table = queue.pop()
         i = index[key]
-        for d in node.arcs:
-            child = key ^ bit[d] ^ bit[node.twist(d)]
+        for n in _bits(key):
+            d = diagonals[n]
+            ends = twist_ends(sides, table, d)
+            new = ids.get(ends)
+            rest = key ^ 1 << n
+            if new is None or key >> new & 1 or cross_mask[new] & rest:
+                # the faults, named as the checks of DiskAngulation.flip name them
+                twist = Diagonal(*ends)
+                out = DiskAngulation(cfg, [diagonals[k] for k in _bits(rest)] + [twist])
+                problems = out._flip_problems(twist) or (f"{twist} is the diagonal flipped",)
+                raise InvalidAngulation(f"the flip at {d} gives {out!r}: " + "; ".join(problems))
+            child = rest | 1 << new
             j = index.get(child)
             if j is None:
-                j = index[child] = len(order)
-                other = node.flip(d)
-                order.append(other)
-                queue.append((other, child))
-            if j != i:
-                edges.add(frozenset((i, j)))
-    return FlipGraph(tuple(order), frozenset(edges))
+                j = index[child] = len(keys)
+                keys.append(child)
+                queue.append((child, flip_cells(sides, table, d)[2]))
+            edges.add(frozenset((i, j)))
+    nodes = tuple(DiskAngulation(cfg, [diagonals[n] for n in _bits(k)]) for k in keys)
+    return FlipGraph(nodes, frozenset(edges))
+

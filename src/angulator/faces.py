@@ -22,6 +22,9 @@ from .quiver import ColoredQuiver, VertexRangeError
 
 # a cell: its arc runs (u, v) in clockwise order
 Cell = tuple[tuple[int, int], ...]
+# a twist table: each run (u, v) of a set of cells -> the cell and the
+# run's index in it
+Table = dict[tuple[int, int], tuple[Cell, int]]
 
 
 @dataclass(frozen=True)
@@ -64,18 +67,39 @@ def step_after(sides: int, cell: Cell, i: int) -> tuple[int, int]:
     return (v, 1) if u == end else (end % sides + 1, 0)
 
 
-def twist_cells(sides: int, inner: Cell, i: int, outer: Cell, j: int) -> tuple[Cell, Cell]:
-    """The two cells beside a chord (a, b), merged and split again at its
-    twist.  ``inner`` runs the chord as (b, a) at index i and ``outer``
-    as (a, b) at index j.  The merged region runs from a to b through
-    ``inner`` and from b to a through ``outer``; its first step from a
-    ends at x, its first step from b at y, and the twist (x, y) splits it
-    into the two new cells, read from the old ones alone."""
+def twist_ends(sides: int, table: Table, chord: Sequence[int]) -> tuple[int, int]:
+    """The twist rule: the ends (x, y) of the twist of the chord (a, b),
+    a < b, read from the twist ``table`` of its cells.  x is the end of
+    the first step from a round the cell inside [a, b], y that of the
+    first step from b round the cell outside: each end of the chord moved
+    one place clockwise round the region the two cells merge into."""
+    a, b = chord
+    (inner, i), (outer, j) = table[b, a], table[a, b]
+    return step_after(sides, inner, i)[0], step_after(sides, outer, j)[0]
+
+
+def flip_cells(
+    sides: int, table: Table, chord: Sequence[int]
+) -> tuple[tuple[Cell, Cell], tuple[Cell, Cell], Table]:
+    """The cell flip at the chord (a, b), a < b: the two cells beside it,
+    merged and split again at its twist (x, y), read from the old cells
+    alone.  The merged region runs from a to b through the cell inside
+    [a, b] and from b to a through the cell outside.  Returns those two
+    cells, the two new ones, and the twist table of the result:
+    ``table`` without the chord's runs and with the entries of the new
+    cells rewritten."""
+    a, b = chord
+    (inner, i), (outer, j) = table[b, a], table[a, b]
     x, ka = step_after(sides, inner, i)
     y, kb = step_after(sides, outer, j)
     from_a = inner[i + 1:] + inner[:i]
     from_b = outer[j + 1:] + outer[:j]
-    return from_a[ka:] + from_b[:kb] + ((y, x),), from_b[kb:] + from_a[:ka] + ((x, y),)
+    halves = from_a[ka:] + from_b[:kb] + ((y, x),), from_b[kb:] + from_a[:ka] + ((x, y),)
+    out = dict(table)
+    del out[a, b], out[b, a]
+    for cell in halves:
+        out.update((run, (cell, n)) for n, run in enumerate(cell))
+    return (inner, outer), halves, out
 
 
 def split_regions(sides: int, chords: Iterable[Sequence[int]]) -> list[Cell]:

@@ -245,10 +245,12 @@ def check_counts(oracles: DiskOracles) -> VerificationReport:
 def check_connectivity(oracles: DiskOracles) -> VerificationReport:
     """The flip graph is connected and reaches every enumerated angulation.
 
-    The "connected" case holds by construction: ``flip_graph`` builds the
-    graph by a BFS from the initial fan.  The connectivity evidence is the
-    other case, that every enumerated angulation is among the nodes,
-    together with the equal counts that ``check_counts`` asserts.
+    The "connected" case holds by construction: ``flip_graph`` adds a node
+    only as the flip of one it has, starting from the initial fan, and
+    checks each such child against the crossing table.  The connectivity
+    evidence is the other case, that every enumerated angulation is among
+    the nodes, together with the equal counts that ``check_counts``
+    asserts.
     """
     cfg = oracles.cfg
     with VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}") as report:

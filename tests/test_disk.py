@@ -845,6 +845,43 @@ class TestFlipGraph:
         dot = flip_graph(PENTAGON).to_dot()
         assert dot.startswith("graph") and dot.count("--") == 5
 
+    @pytest.mark.parametrize("cfg", [PENTAGON, OCTAGON, DiskConfig(3, 14)], ids=repr)
+    def test_nodes_are_fresh_valid_angulations(self, cfg):
+        for node in flip_graph(cfg).nodes:
+            assert node == DiskAngulation(cfg, node.arcs) and node.is_valid()
+
+    @pytest.mark.parametrize("fault", ["crossing", "present", "itself", "no m-diagonal"])
+    def test_a_wrong_twist_raises(self, monkeypatch, fault):
+        # the BFS checks each child against the crossing table: a twist
+        # rule that goes wrong at the 10th arc it twists is caught there
+        cfg = DiskConfig(2, 10)
+        real = disk.twist_ends
+        calls = []
+
+        def twist_ends(sides, table, d):
+            calls.append(d)
+            if len(calls) != 10:
+                return real(sides, table, d)
+            # the node's diagonals: the runs of its cells read as a < b
+            arcs = {Diagonal(*run) for run in table if run[0] < run[1]}
+            kept = sorted(arcs - {d})
+            if fault == "crossing":
+                return next(e for e in cfg.all_diagonals() if e not in arcs
+                            and any(crosses(e, x) for x in kept))
+            if fault == "present":
+                return kept[0]
+            if fault == "itself":
+                return d
+            return d.a, d.a + 2
+
+        monkeypatch.setattr(disk, "twist_ends", twist_ends)
+        named = {"crossing": "crosses", "present": "2 diagonals, expected 3",
+                 "itself": "is the diagonal flipped",
+                 "no m-diagonal": "is not an m-diagonal"}[fault]
+        with pytest.raises(InvalidAngulation, match=named):
+            flip_graph(cfg)
+        assert len(calls) == 10
+
 
 class TestSerialization:
     def test_round_trip(self):

@@ -734,7 +734,9 @@ class TestOracleIndependence:
         assert maximal_set_sizes(cfg) == {4: 273}
 
     def test_flip_graph(self, monkeypatch):
+        # the BFS reads the crossing table but runs neither backtracker
         monkeypatch.setattr(disk, "enumerate_angulations", refuse)
+        monkeypatch.setattr(disk, "maximal_set_sizes", refuse)
         monkeypatch.setattr(verify, "fuss_catalan", refuse)
         assert len(flip_graph(DiskConfig(2, 12)).nodes) == 273
 
