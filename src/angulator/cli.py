@@ -104,15 +104,12 @@ def _load_angulation(data: dict):
 
 def cmd_mutate(args) -> int:
     quiver = _load_quiver(_read_input(args.input))
-    try:
-        if args.inverse:
-            result = quiver.mutate_inverse(args.vertex)
-        elif args.procedural:
-            result = quiver.mutate_procedural(args.vertex)
-        else:
-            result = quiver.mutate(args.vertex)
-    except VertexRangeError as exc:
-        raise CliError(EXIT_RANGE, str(exc))
+    if args.inverse:
+        result = quiver.mutate_inverse(args.vertex)
+    elif args.procedural:
+        result = quiver.mutate_procedural(args.vertex)
+    else:
+        result = quiver.mutate(args.vertex)
     if args.format == "dot":
         print(result.to_dot())
     else:
@@ -127,11 +124,7 @@ def cmd_flip(args) -> int:
         raise CliError(EXIT_RANGE, f"arc index {args.arc}: the angulation has no arcs")
     if not (0 <= args.arc < len(arcs)):
         raise CliError(EXIT_RANGE, f"arc index {args.arc} outside 0..{len(arcs) - 1}")
-    try:
-        flipped = angulation.flip(arcs[args.arc])
-    except ann.UnsupportedFlip as exc:
-        raise CliError(EXIT_INVALID, str(exc))
-    print(_dump(flipped.to_json_dict()))
+    print(_dump(angulation.flip(arcs[args.arc]).to_json_dict()))
     return 0
 
 
@@ -297,9 +290,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InvalidAngulation as exc:
+    except (InvalidAngulation, ann.UnsupportedFlip) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except VertexRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RANGE
     except GuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

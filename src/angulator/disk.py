@@ -336,16 +336,16 @@ class DiskAngulation(Angulation):
     def violations(self) -> list[str]:
         return list(self._problems)
 
-    @cached_property
+    @property
     def _faces(self) -> tuple[Cell, ...]:
-        """The r+1 cells as arc runs (see ``faces``).  The public callers
-        check validity, because _flipped() sets this directly for its
-        result."""
-        return tuple(split_regions(self.config.sides, self.arcs))
+        """The r+1 cells as arc runs (see ``faces``), read back from the
+        twist table: each cell once, from the entry of its first run.
+        Without diagonals the table is empty and the one cell is empty."""
+        return tuple(cell for cell, i in self._sides.values() if not i) or ((),)
 
     def faces(self) -> list[Face]:
         """The r+1 cells, each an (m+2)-gon with sides in clockwise order:
-        the held cells, stored as their arc runs, expanded on each call
+        the cells read back from the twist table, expanded on each call
         into their vertices, ``Diagonal`` sides and boundary ``Edge``
         sides.  The list order and each cell's first vertex are not fixed."""
         self._require_valid()
@@ -362,13 +362,14 @@ class DiskAngulation(Angulation):
 
     @cached_property
     def _sides(self) -> Table:
-        """The cell-local twist table, which twists and flips read; the
-        arc set, not this table, answers membership.  A cell runs a
+        """The cells, held once as the twist table that twists, flips and
+        the quiver read; the arc set answers membership.  A cell runs a
         diagonal (a, b) clockwise: the cell inside [a, b] runs it as
         (b, a), the cell outside as (a, b).  The entry of a run (u, v) is
-        the cell and the run's index there.  A flip hands its result the
-        table that ``flip_cells`` rewrites."""
-        return {run: (cell, i) for cell in self._faces for i, run in enumerate(cell)}
+        the cell and the run's index there.  A flip sets its result's table
+        (``flip_cells``) directly, so the public callers check validity."""
+        cells = split_regions(self.config.sides, self.arcs)
+        return {run: (cell, i) for cell in cells for i, run in enumerate(cell)}
 
     def twist(self, d: Diagonal) -> Diagonal:
         """Clockwise-next chord splitting the merged (2m+2)-gon around d:
@@ -394,14 +395,12 @@ class DiskAngulation(Angulation):
         Only the two cells beside d change: ``flip_cells`` splits their
         union the other way.  The two new cells come from the old ones
         alone, so a wrong ``new`` gives a result whose arcs its check
-        flags.  The result takes the other cells over, and the twist table
-        that ``flip_cells`` rewrites.
+        flags.  The result holds the twist table that ``flip_cells``
+        rewrites, and no other cells.
         """
-        (inner, outer), halves, table = flip_cells(self.config.sides, self._sides, d)
         out = DiskAngulation(self.config, [e for e in self.arcs if e != d] + [new])
-        kept = tuple(c for c in self._faces if c is not inner and c is not outer)
-        # fills the cached properties
-        out.__dict__.update(_faces=kept + halves, _sides=table)
+        # fills the cached property
+        out.__dict__["_sides"] = flip_cells(self.config.sides, self._sides, d)
         return out
 
     @staticmethod
@@ -682,7 +681,7 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
             if j is None:
                 j = index[child] = len(keys)
                 keys.append(child)
-                queue.append((child, flip_cells(sides, table, d)[2]))
+                queue.append((child, flip_cells(sides, table, d)))
             edges.add(frozenset((i, j)))
     nodes = tuple(DiskAngulation(cfg, [diagonals[n] for n in _bits(k)]) for k in keys)
     return FlipGraph(nodes, frozenset(edges))

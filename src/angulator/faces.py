@@ -22,8 +22,8 @@ from .quiver import ColoredQuiver, VertexRangeError
 
 # a cell: its arc runs (u, v) in clockwise order
 Cell = tuple[tuple[int, int], ...]
-# a twist table: each run (u, v) of a set of cells -> the cell and the
-# run's index in it
+# a twist table, which holds a set of cells: each run (u, v) of a cell ->
+# the cell and the run's index in it
 Table = dict[tuple[int, int], tuple[Cell, int]]
 
 
@@ -78,28 +78,25 @@ def twist_ends(sides: int, table: Table, chord: Sequence[int]) -> tuple[int, int
     return step_after(sides, inner, i)[0], step_after(sides, outer, j)[0]
 
 
-def flip_cells(
-    sides: int, table: Table, chord: Sequence[int]
-) -> tuple[tuple[Cell, Cell], tuple[Cell, Cell], Table]:
+def flip_cells(sides: int, table: Table, chord: Sequence[int]) -> Table:
     """The cell flip at the chord (a, b), a < b: the two cells beside it,
     merged and split again at its twist (x, y), read from the old cells
     alone.  The merged region runs from a to b through the cell inside
-    [a, b] and from b to a through the cell outside.  Returns those two
-    cells, the two new ones, and the twist table of the result:
-    ``table`` without the chord's runs and with the entries of the new
-    cells rewritten."""
+    [a, b] and from b to a through the cell outside.  Returns the twist
+    table of the result: ``table`` without the chord's runs and with the
+    entries of the two new cells rewritten."""
     a, b = chord
     (inner, i), (outer, j) = table[b, a], table[a, b]
     x, ka = step_after(sides, inner, i)
     y, kb = step_after(sides, outer, j)
     from_a = inner[i + 1:] + inner[:i]
     from_b = outer[j + 1:] + outer[:j]
-    halves = from_a[ka:] + from_b[:kb] + ((y, x),), from_b[kb:] + from_a[:ka] + ((x, y),)
     out = dict(table)
     del out[a, b], out[b, a]
-    for cell in halves:
+    for cell in (from_a[ka:] + from_b[:kb] + ((y, x),),
+                 from_b[kb:] + from_a[:ka] + ((x, y),)):
         out.update((run, (cell, n)) for n, run in enumerate(cell))
-    return (inner, outer), halves, out
+    return out
 
 
 def split_regions(sides: int, chords: Iterable[Sequence[int]]) -> list[Cell]:

@@ -150,6 +150,13 @@ class TestFlip:
         code, _, err = run(capsys, "flip", bad, "--arc", "0")
         assert code == 3 and "invalid" in err
 
+    def test_refused_flip_exit_3(self, capsys):
+        # the flip at B(O2,I1,1) would leave the model
+        ang = initial_bridges(AnnulusConfig(1, 2, 1))
+        code, out, err = run(capsys, "flip", json.dumps(ang.to_json_dict()), "--arc", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: arc would enclose the inner boundary (outside the model)\n"
+
     def test_no_arcs_exit_4(self, capsys):
         empty = json.dumps({"type": "disk", "m": 2, "sides": 4, "diagonals": []})
         code, _, err = run(capsys, "flip", empty, "--arc", "0")

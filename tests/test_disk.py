@@ -489,9 +489,14 @@ class TestTwistTable:
     @pytest.mark.parametrize("cfg", WALKED_DISKS + SMALL_DISKS[-2:], ids=repr)
     def test_carried_table_equals_a_fresh_one(self, cfg):
         for step, (ang, _) in enumerate(random_walk(cfg, 40, 7)):
-            # every walked angulation but the first is a flip result
+            # every walked angulation but the first is a flip result,
+            # which holds its cells once: as the table its parent's flip
+            # rewrote
             assert ("_sides" in vars(ang)) == (step > 0)
+            assert "_faces" not in vars(ang)
             fresh = DiskAngulation(cfg, ang.arcs)
+            assert cycles(cfg.sides, ang._faces) == cycles(
+                cfg.sides, split_regions(cfg.sides, ang.arcs))
             # the carried cells are the fresh ones, each read from any of
             # its runs
             assert table_cells(ang) == table_cells(fresh)
