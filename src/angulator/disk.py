@@ -123,7 +123,12 @@ class DiskConfig:
         """The m-diagonals in canonical order and, for each index i, the
         bitmask of the indices of the diagonals crossing diagonal i: built
         once per object, from ``crosses`` alone, so the oracles using it
-        stay independent of the flip machinery."""
+        stay independent of the flip machinery.
+
+        The index of a diagonal in the first list is its id.  The count
+        oracles hand back an angulation as its key: the bitmask of its
+        diagonal ids, bit i set iff ``crossing_table[0][i]`` is one of its
+        diagonals.  ``DiskAngulation.from_key`` decodes a key."""
         diagonals = self.all_diagonals()
         masks = [0] * len(diagonals)
         for i, j in itertools.combinations(range(len(diagonals)), 2):
@@ -332,6 +337,13 @@ class DiskAngulation(Angulation):
 
     def __repr__(self):
         return "".join(map(repr, self.arcs)) or "(empty)"
+
+    @classmethod
+    def from_key(cls, cfg: DiskConfig, key: int) -> "DiskAngulation":
+        """The angulation of a key of ``cfg.crossing_table``: the diagonal
+        of each set bit, checked as any fresh angulation is."""
+        diagonals = cfg.crossing_table[0]
+        return cls(cfg, [diagonals[n] for n in _bits(key)])
 
     def violations(self) -> list[str]:
         return list(self._problems)
@@ -545,34 +557,36 @@ def enumerate_angulations(
     """Count (and optionally list) all angulations by backtracking.
 
     Entirely independent of the flip machinery: extends noncrossing sets
-    over the canonically ordered diagonal list.  ``blocked`` holds the
-    diagonals crossing the chosen ones, so a candidate is compatible with
-    the chosen set when its bit is clear.
+    over the canonically ordered diagonal list.  ``key`` holds the ids of
+    the chosen diagonals and ``blocked`` those of the diagonals crossing
+    them, so a candidate is compatible with the chosen set when its bit
+    is clear.  Returns ``(count, keys)``, where ``keys`` lists the key of
+    each angulation (see ``DiskConfig.crossing_table``) in the order
+    found if ``collect``, and is None otherwise; ``DiskAngulation.from_key``
+    decodes one.
     """
     _check_guard(cfg, guard)
     diagonals, cross_mask = cfg.crossing_table
     rank = cfg.rank
     full = (1 << len(diagonals)) - 1
-    found: list[DiskAngulation] = []
+    found: list[int] = []
     count = 0
 
-    def backtrack(start, chosen, blocked):
+    def backtrack(start, key, size, blocked):
         nonlocal count
-        if len(chosen) == rank:
+        if size == rank:
             count += 1
             if collect:
-                found.append(DiskAngulation(cfg, [diagonals[i] for i in chosen]))
+                found.append(key)
             return
         free = full & ~blocked & ~((1 << start) - 1)
         # not enough candidates left to finish
-        if len(chosen) + free.bit_count() < rank:
+        if size + free.bit_count() < rank:
             return
         for idx in _bits(free):
-            chosen.append(idx)
-            backtrack(idx + 1, chosen, blocked | cross_mask[idx])
-            chosen.pop()
+            backtrack(idx + 1, key | 1 << idx, size + 1, blocked | cross_mask[idx])
 
-    backtrack(0, [], 0)
+    backtrack(0, 0, 0, 0)
     return (count, found) if collect else (count, None)
 
 
@@ -603,9 +617,13 @@ def maximal_set_sizes(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> dict[int, 
 
 @dataclass(frozen=True)
 class FlipGraph:
-    """Flip graph on all angulations of one configuration."""
+    """Flip graph on all angulations of one configuration.  A node is the
+    key of an angulation (see ``DiskConfig.crossing_table``), and an edge
+    joins the indices of two nodes in ``nodes``;
+    ``DiskAngulation.from_key(config, node)`` decodes a node."""
 
-    nodes: tuple[DiskAngulation, ...]
+    config: DiskConfig
+    nodes: tuple[int, ...]
     edges: frozenset[frozenset[int]]
 
     def is_connected(self) -> bool:
@@ -626,9 +644,10 @@ class FlipGraph:
         return len(seen) == len(self.nodes)
 
     def to_dot(self) -> str:
+        """The graph in DOT, each node labelled with its angulation."""
         lines = ["graph flips {"]
-        for i, node in enumerate(self.nodes):
-            lines.append(f'  {i} [label="{node!r}"];')
+        for i, key in enumerate(self.nodes):
+            lines.append(f'  {i} [label="{DiskAngulation.from_key(self.config, key)!r}"];')
         for e in sorted(tuple(sorted(e)) for e in self.edges):
             lines.append(f"  {e[0]} -- {e[1]};")
         lines.append("}")
@@ -639,15 +658,16 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
     """The flip graph, searched from the initial fan, the last node found
     first; the nodes are listed in the order they are found.
 
-    A node is the bitmask of its diagonal ids in ``cfg.crossing_table``,
-    held with the twist table its parent's flip left.  For each of its
-    diagonals the twist is read from the table (``twist_ends``) and the
-    child is checked in O(1) against the crossing table: the twist is an
-    m-diagonal, is not already a diagonal of the node, and crosses none
-    of the others.  Else InvalidAngulation is raised.  So every child is
-    a noncrossing set of rank m-diagonals, an angulation.  Only a child
-    not seen before gets cells, by one cell flip (``flip_cells``); the
-    nodes are built as angulations once, at the end.
+    A node is the key of its angulation, the bitmask of its diagonal ids
+    in ``cfg.crossing_table``, held with the twist table its parent's flip
+    left.  For each of its diagonals the twist is read from the table
+    (``twist_ends``) and the child is checked in O(1) against the crossing
+    table: the twist is an m-diagonal, is not already a diagonal of the
+    node, and crosses none of the others.  Else InvalidAngulation is
+    raised.  So every child is a noncrossing set of rank m-diagonals, an
+    angulation.  Only a child not seen before gets cells, by one cell flip
+    (``flip_cells``).  The graph holds the keys, and the only angulation
+    built is the fan; ``DiskAngulation.from_key`` decodes a node.
     """
     _check_guard(cfg, guard)
     diagonals, cross_mask = cfg.crossing_table
@@ -673,7 +693,7 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
             if new is None or key >> new & 1 or cross_mask[new] & rest:
                 # the faults, named as the checks of DiskAngulation.flip name them
                 twist = Diagonal(*ends)
-                out = DiskAngulation(cfg, [diagonals[k] for k in _bits(rest)] + [twist])
+                out = DiskAngulation(cfg, [*DiskAngulation.from_key(cfg, rest).arcs, twist])
                 problems = out._flip_problems(twist) or (f"{twist} is the diagonal flipped",)
                 raise InvalidAngulation(f"the flip at {d} gives {out!r}: " + "; ".join(problems))
             child = rest | 1 << new
@@ -683,6 +703,4 @@ def flip_graph(cfg: DiskConfig, guard: int = DEFAULT_GUARD) -> FlipGraph:
                 keys.append(child)
                 queue.append((child, flip_cells(sides, table, d)))
             edges.add(frozenset((i, j)))
-    nodes = tuple(DiskAngulation(cfg, [diagonals[n] for n in _bits(k)]) for k in keys)
-    return FlipGraph(nodes, frozenset(edges))
-
+    return FlipGraph(cfg, tuple(keys), frozenset(edges))

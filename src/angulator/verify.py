@@ -204,7 +204,10 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
 
 class DiskOracles:
     """The flip-free oracles of one disk configuration, each run at most
-    once and shared by all the reports of a ``run_suite`` call."""
+    once and shared by all the reports of a ``run_suite`` call.  The
+    enumeration and the flip graph hold each angulation as its key (see
+    ``DiskConfig.crossing_table``); only the compat cases decode theirs,
+    by ``DiskAngulation.from_key``."""
 
     def __init__(self, cfg: DiskConfig, guard: int = DEFAULT_GUARD):
         self.cfg = cfg
@@ -250,15 +253,18 @@ def check_connectivity(oracles: DiskOracles) -> VerificationReport:
     checks each such child against the crossing table.  The connectivity
     evidence is the other case, that every enumerated angulation is among
     the nodes, together with the equal counts that ``check_counts``
-    asserts.
+    asserts.  Both oracles give an angulation as its key, the bitmask of
+    its diagonal ids in ``cfg.crossing_table``, so the nodes and the
+    enumeration are compared as sets of integers, with no angulation
+    built (``DiskAngulation.from_key`` would decode one).
     """
     cfg = oracles.cfg
     with VerificationReport(f"connectivity m={cfg.m} S={cfg.sides}") as report:
         graph = oracles.graph
         report.check(graph.is_connected(), "connected", True, False)
-        _, angulations = oracles.enumerated
+        _, keys = oracles.enumerated
         reached = set(graph.nodes)
-        missing = [a for a in angulations if a not in reached]
+        missing = [k for k in keys if k not in reached]
         report.check(not missing, "all angulations reached from the fan",
                      0, len(missing))
     return report
@@ -453,7 +459,9 @@ def run_suite(
             if oracles is None or fuss_catalan(cfg.m, cfg.rank + 1) > COMPAT_ENUM_CAP:
                 cases = list(random_walk(cfg, steps, seed))
             else:  # every angulation of a small disk with every diagonal
-                cases = [(a, d) for a in oracles.enumerated[1] for d in a.arcs]
+                angulations = [disk.DiskAngulation.from_key(cfg, k)
+                               for k in oracles.enumerated[1]]
+                cases = [(a, d) for a in angulations for d in a.arcs]
             label = f"m={cfg.m} " + (
                 f"S={cfg.sides}" if isinstance(cfg, DiskConfig)
                 else f"(p,q)=({cfg.p},{cfg.q})"

@@ -1,10 +1,11 @@
 """References for the cells, the twist and the quiver read, shared by the
 model and verify tests: the vertex-cycle region split, the region twist
 and the face-reading quiver that the arc-run cells replaced, and the arc
-pool of the annulus maximal-set trials."""
+pool of the annulus maximal-set trials; and every angulation of a disk,
+decoded from the enumeration's keys."""
 
 from angulator.annulus import Bridge, InnerChord, OuterChord
-from angulator.disk import Diagonal, InvalidAngulation
+from angulator.disk import Diagonal, DiskAngulation, InvalidAngulation, enumerate_angulations
 from angulator.faces import cell_vertices
 from angulator.quiver import ColoredQuiver
 
@@ -97,3 +98,11 @@ def maximal_set_pool(cfg):
         pool += [kind(s, t) for s in range(1, length + 1)
                  for t in range(cfg.m + 1, length, cfg.m)]
     return [a for a in pool if cfg.is_m_diagonal(a)]
+
+
+def all_angulations(cfg):
+    """Every angulation of a disk, in the order enumerated: the keys of
+    ``enumerate_angulations(cfg, collect=True)``, each decoded by
+    ``DiskAngulation.from_key``."""
+    _, keys = enumerate_angulations(cfg, collect=True)
+    return [DiskAngulation.from_key(cfg, key) for key in keys]

@@ -23,6 +23,7 @@ from angulator.verify import (
     fuss_catalan,
     random_walk,
 )
+from regions import all_angulations
 
 DISK_COUNTS = {
     (1, 5): 5,
@@ -51,7 +52,7 @@ def _report_line(name, ok, elapsed, detail=""):
 @pytest.fixture(scope="module")
 def disk_cases():
     return {
-        cfg: [(a, d) for a in enumerate_angulations(cfg, collect=True)[1] for d in a.arcs]
+        cfg: [(a, d) for a in all_angulations(cfg) for d in a.arcs]
         for cfg in DISK_CONFIGS
     }
 

@@ -28,6 +28,7 @@ from angulator.faces import cell_size, cell_vertices, split_regions
 from angulator.quiver import ColoredQuiver
 from angulator.verify import COMPAT_ENUM_CAP, DISK_MATRIX, fuss_catalan, random_walk
 from regions import (
+    all_angulations,
     cycles,
     least_rotation,
     merged_region,
@@ -280,9 +281,8 @@ class TestSplitRegions:
     @pytest.mark.parametrize("cfg", [DiskConfig(1, 8), DiskConfig(2, 12),
                                      DiskConfig(3, 14)], ids=repr)
     def test_cells_are_the_regions_of_the_recursive_split(self, cfg):
-        _, angulations = enumerate_angulations(cfg, collect=True)
         cycle = list(range(1, cfg.sides + 1))
-        for ang in angulations:
+        for ang in all_angulations(cfg):
             chords = [frozenset((d.a, d.b)) for d in ang.arcs]
             cells = split_regions(cfg.sides, ang.arcs)
             assert len(cells) == cfg.rank + 1
@@ -465,16 +465,14 @@ class TestTwistTable:
 
     @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
     def test_twist_is_the_region_twist_on_every_angulation(self, cfg):
-        _, found = enumerate_angulations(cfg, collect=True)
-        for ang in found:
+        for ang in all_angulations(cfg):
             for d in ang.arcs:
                 assert ang.twist(d) == region_twist(merged_region(ang, d), d, cfg.m)
 
     @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
     def test_merged_region_is_a_2m_plus_2_gon(self, cfg):
         # the two (m+2)-gons beside d share only d's endpoints
-        _, found = enumerate_angulations(cfg, collect=True)
-        for ang in found:
+        for ang in all_angulations(cfg):
             for d in ang.arcs:
                 region = merged_region(ang, d)
                 assert len(region) == 2 * cfg.m + 2
@@ -534,8 +532,7 @@ class TestCellsAgainstReferences:
 
     @pytest.mark.parametrize("cfg", SMALL_DISKS, ids=repr)
     def test_every_angulation(self, cfg):
-        _, found = enumerate_angulations(cfg, collect=True)
-        for ang in found:
+        for ang in all_angulations(cfg):
             self.check(ang)
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS, ids=repr)
@@ -597,8 +594,7 @@ class TestCompletions:
 
     def test_flip_takes_the_first_completion(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11)):
-            _, angulations = enumerate_angulations(cfg, collect=True)
-            for ang in angulations:
+            for ang in all_angulations(cfg):
                 for d in ang.arcs:
                     rest = [e for e in ang.arcs if e != d]
                     assert ang.twist(d) == completions(cfg, rest, d)[0]
@@ -606,8 +602,7 @@ class TestCompletions:
     def test_matches_brute_force_scan(self):
         # independent oracle: scan every diagonal for compatibility
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 11), DiskConfig(2, 10)):
-            _, angulations = enumerate_angulations(cfg, collect=True)
-            for ang in angulations:
+            for ang in all_angulations(cfg):
                 for d in ang.arcs:
                     rest = [e for e in ang.arcs if e != d]
                     out = completions(cfg, rest, d)
@@ -644,8 +639,7 @@ class TestQuiverOf:
 
     def test_colors_on_shared_face_sum_to_m(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 14)):
-            _, angulations = enumerate_angulations(cfg, collect=True)
-            for ang in angulations:
+            for ang in all_angulations(cfg):
                 q = ang.quiver_of()
                 assert q.is_valid()
                 for (i, j, c), v in q.arrows():
@@ -689,8 +683,7 @@ class TestEars:
 
     def test_every_angulation_has_an_ear(self):
         for cfg in (PENTAGON, OCTAGON, DiskConfig(3, 14)):
-            _, angulations = enumerate_angulations(cfg, collect=True)
-            for ang in angulations:
+            for ang in all_angulations(cfg):
                 assert any(cfg.is_m_ear(d) for d in ang.arcs)
 
 
@@ -778,8 +771,9 @@ class TestEnumeration:
         assert enumerate_angulations(DiskConfig(1, 4))[0] == 2
 
     def test_collect_returns_valid_angulations(self):
-        count, angulations = enumerate_angulations(OCTAGON, collect=True)
-        assert count == len(angulations) == 12
+        count, keys = enumerate_angulations(OCTAGON, collect=True)
+        angulations = all_angulations(OCTAGON)
+        assert count == len(keys) == len(angulations) == 12
         assert all(a.is_valid() for a in angulations)
         assert len(set(angulations)) == 12
 
@@ -812,9 +806,10 @@ class TestAgainstReferences:
 
     @pytest.mark.parametrize("cfg", DISK_MATRIX, ids=repr)
     def test_enumeration_and_maximal_sets(self, cfg):
-        count, found = enumerate_angulations(cfg, collect=True)
+        count, keys = enumerate_angulations(cfg, collect=True)
         reference = reference_enumerate(cfg)
         assert count == len(reference) == enumerate_angulations(cfg)[0]
+        found = [DiskAngulation.from_key(cfg, key) for key in keys]
         assert [a.arcs for a in found] == [a.arcs for a in reference]
         assert maximal_set_sizes(cfg) == reference_maximal_set_sizes(cfg)
 
@@ -823,7 +818,8 @@ class TestAgainstReferences:
     def test_flip_graph(self, cfg):
         graph = flip_graph(cfg)
         order, edges = reference_flip_graph(cfg)
-        assert [a.arcs for a in graph.nodes] == [a.arcs for a in order]
+        nodes = [DiskAngulation.from_key(cfg, key) for key in graph.nodes]
+        assert [a.arcs for a in nodes] == [a.arcs for a in order]
         assert graph.edges == edges
 
 
@@ -852,7 +848,10 @@ class TestFlipGraph:
 
     @pytest.mark.parametrize("cfg", [PENTAGON, OCTAGON, DiskConfig(3, 14)], ids=repr)
     def test_nodes_are_fresh_valid_angulations(self, cfg):
-        for node in flip_graph(cfg).nodes:
+        keys = flip_graph(cfg).nodes
+        assert len(set(keys)) == len(keys)
+        for key in keys:
+            node = DiskAngulation.from_key(cfg, key)
             assert node == DiskAngulation(cfg, node.arcs) and node.is_valid()
 
     @pytest.mark.parametrize("fault", ["crossing", "present", "itself", "no m-diagonal"])

@@ -40,7 +40,13 @@ from angulator.verify import (
     random_walk,
     run_suite,
 )
-from regions import maximal_set_pool, merged_region, reference_quiver, reference_split
+from regions import (
+    all_angulations,
+    maximal_set_pool,
+    merged_region,
+    reference_quiver,
+    reference_split,
+)
 
 PENTAGON = DiskConfig(1, 5)
 WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
@@ -48,7 +54,7 @@ WALKED_DISKS = [DiskConfig(1, 9), DiskConfig(2, 14), DiskConfig(3, 17)]
 
 def all_disk_cases(cfg):
     """Every (angulation, diagonal) pair of a configuration."""
-    return [(a, d) for a in enumerate_angulations(cfg, collect=True)[1] for d in a.arcs]
+    return [(a, d) for a in all_angulations(cfg) for d in a.arcs]
 
 
 class TestReport:
@@ -830,6 +836,58 @@ class TestOracleIndependence:
 
         apart = reports("compat") + reports("counts") + reports("cut")
         assert reports("all") == apart and len(apart) == 5 * 3 + 3 * 3 + 2 + 5
+
+
+class TestKeyOracles:
+    """The enumeration and the flip graph give angulations as keys of the
+    crossing table, and the count reports compare those keys."""
+
+    def test_only_the_fan_is_built(self, monkeypatch):
+        # the flip graph starts from the fan; every other angulation the
+        # two reports read stays a key
+        calls = {}
+        monkeypatch.setattr(DiskAngulation, "__init__", counted(
+            calls, "angulation", DiskAngulation.__init__))
+        oracles = DiskOracles(DiskConfig(2, 12))
+        assert check_counts(oracles).passed
+        assert check_connectivity(oracles).passed
+        assert calls == {"angulation": 1}
+
+    @staticmethod
+    def failures(monkeypatch, nodes_and_edges):
+        """The failures of both reports on DiskConfig(2, 12), with the
+        flip graph's nodes and edges rewritten by ``nodes_and_edges``."""
+        real = disk.flip_graph
+
+        def wrong_graph(cfg, guard):
+            graph = real(cfg, guard)
+            return disk.FlipGraph(cfg, *nodes_and_edges(cfg, graph.nodes, graph.edges))
+
+        monkeypatch.setattr(disk, "flip_graph", wrong_graph)
+        oracles = DiskOracles(DiskConfig(2, 12))
+        return [[(f.fingerprint, f.expected, f.actual) for f in report(oracles).failures]
+                for report in (check_counts, check_connectivity)]
+
+    def test_a_node_missing(self, monkeypatch):
+        def less_the_last(cfg, nodes, edges):
+            last = len(nodes) - 1
+            return nodes[:-1], frozenset(e for e in edges if last not in e)
+
+        assert self.failures(monkeypatch, less_the_last) == [
+            [("BFS vs backtracking", "273", "272")],
+            [("all angulations reached from the fan", "0", "1")],
+        ]
+
+    def test_a_key_beyond_the_crossing_table(self, monkeypatch):
+        # one more bit, set past the last diagonal id: as many nodes, but
+        # one of them is no enumerated key
+        def one_bit_more(cfg, nodes, edges):
+            beyond = 1 << len(cfg.crossing_table[0])
+            return (*nodes[:-1], nodes[-1] | beyond), edges
+
+        assert self.failures(monkeypatch, one_bit_more) == [
+            [], [("all angulations reached from the fan", "0", "1")],
+        ]
 
 
 class TestFailureRecords:
