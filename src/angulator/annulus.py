@@ -253,9 +253,9 @@ class AnnulusAngulation(Angulation):
 
     def _cell_problems(self) -> tuple[str, ...]:
         """The cell rule, read once the arcs are noncrossing, p+q in number
-        and hold a bridge: the arcs whose diagonal is no m-diagonal of the
-        cut along the least bridge.  A set without them holds that cut as
-        its ``_view``.
+        and hold a bridge: in arc order, the bridges whose outer + inner
+        differs (mod m) from the least bridge's, each named as no
+        m-diagonal of the cut along the least bridge.  No cut is made.
 
         The cut disk has N = m(p+q)+2 sides, N = 2 (mod m), and its cells
         all have size 2 (mod m) iff every chord is an m-diagonal, a chord
@@ -265,21 +265,23 @@ class AnnulusAngulation(Angulation):
         m-diagonal, a cell with vertices v1 < ... < vk has vk - v1 = 1 (its
         closing side is a chord or the edge from N to 1), a sum of k - 1
         steps of 1 each, so k = 2.  As the sizes of the p+q cells add up to
-        (m+2)(p+q), that makes every cell an (m+2)-gon.  For m = 1 the
-        p+q-1 diagonals triangulate the cut disk whatever they are, so the
-        rule is not read.
+        (m+2)(p+q), that makes every cell an (m+2)-gon.
+
+        The diagonals are read in residues.  A bridge (o, i) other than the
+        cut one (o0, i0) lands on (t, s), t = o - o0 + 1 and s = 2 + i0 - i,
+        so s - t = 1 iff o + i = o0 + i0.  Its span bounds hold: as
+        t <= mp+1 < s, a span of 1 (mod m) outside m+1..N-m-1 is 1 or N-1,
+        the disk edges (mp+1, mp+2) and (N, 1) that are the cut bridge.  A
+        chord keeps its span, which ``is_m_diagonal`` has already checked.
+        For m = 1 every residue agrees.
         """
-        if self.config.m == 1:
-            return ()
-        ref = self.bridges()[0]
-        view = self._cut_open(ref)
-        bad = tuple(
-            f"{a} is not an m-diagonal of the cut along {ref}"
-            for a, d in view.diagonal.items() if not view.cut.disk.is_m_diagonal(d)
+        m = self.config.m
+        least, *others = self.bridges()
+        residue = (least.outer + least.inner) % m
+        return tuple(
+            f"{b} is not an m-diagonal of the cut along {least}"
+            for b in others if (b.outer + b.inner) % m != residue
         )
-        if not bad:
-            self.__dict__["_view"] = view
-        return bad
 
     def violations(self) -> list[str]:
         return list(self._problems)
@@ -296,17 +298,16 @@ class AnnulusAngulation(Angulation):
     @cached_property
     def _view(self) -> "CutView":
         """The cut view the angulation is read in, held once built: the
-        view the flip that made it worked in, which the flip sets, or else
-        the view along the least bridge, which the cell rule sets for
-        m >= 2 as it checks and which is built here for m = 1."""
+        view the flip that made it worked in, which the flip sets in its
+        result, or else the cut along the least bridge, built here once
+        the angulation is checked valid.  Only reading the cells cuts."""
         self._require_valid()
-        view = self.__dict__.get("_view")
-        return view if view is not None else self._cut_open(self.bridges()[0])
+        return self._cut_open(self.bridges()[0])
 
     def _cut_open(self, ref: Bridge) -> "CutView":
-        """The angulation cut open along its bridge ``ref``.  The disk
-        angulation is marked valid, as (m+2)-gon cells stay (m+2)-gons in
-        every cut: a caller keeps the view of a valid annulus only."""
+        """The angulation, which is valid, cut open along its bridge
+        ``ref``.  The disk angulation is marked valid, as (m+2)-gon cells
+        stay (m+2)-gons in every cut."""
         cut = BridgeCut(self.config, ref)
         diagonal = {a: cut.to_disk(a) for a in self.arcs if a != ref}
         disk = DiskAngulation(cut.disk, diagonal.values())
@@ -360,12 +361,7 @@ class AnnulusAngulation(Angulation):
         view, d, new_diagonal = self._twisted(x)
         new = view.cut.from_disk(new_diagonal)
         out = AnnulusAngulation(self.config, [a for a in self.arcs if a != x] + [new])
-        # the cell rule, read in the cut the flip worked in: its bridge
-        # stays; a fresh object names the cut along its least bridge
-        problems = out._flip_problems(new)
-        if not problems and not view.cut.disk.is_m_diagonal(new_diagonal):
-            problems = (f"{new} is not an m-diagonal of the cut along {view.cut.bridge}",)
-        out.__dict__["_problems"] = problems
+        problems = out.__dict__["_problems"] = out._flip_problems(new)
         if not problems:
             diagonal = {a: e for a, e in view.diagonal.items() if a != x}
             diagonal[new] = new_diagonal

@@ -166,8 +166,9 @@ class Angulation:
     model (``_kinds``), then, among the others, the arcs that are no
     m-diagonals and the crossing pairs, then a wrong count, to which a
     model adds its own rules through ``_more_problems``.  A flip result's
-    ``_problems`` is worked out by ``_flip_problems`` when it is built,
-    from its valid parent and the new arc alone, in O(r).
+    ``_problems`` is worked out by ``_flip_problems`` when it is built:
+    the shared ones from its valid parent and the new arc alone, in O(r),
+    then the model's rules through the same ``_more_problems``.
 
     Membership is one O(1) test for both models, ``_require_arc``: an arc
     is an object of an arc class in ``_arc_set``, the set the constructor
@@ -218,16 +219,17 @@ class Angulation:
         return self._more_problems(out)
 
     def _more_problems(self, found: list[str]) -> tuple[str, ...]:
-        """``_problems`` from the shared ones ``found``; a model with
-        rules of its own adds them here."""
+        """``_problems`` from the shared ones ``found``, of a fresh object
+        or a flip result; a model with rules of its own adds them here."""
         return tuple(found)
 
     def _flip_problems(self, new) -> tuple[str, ...]:
-        """The shared ``_problems`` of a flip result whose parent was
-        valid: only the new arc can be at fault, by not being an
+        """The ``_problems`` of a flip result whose parent was valid.  Of
+        the shared ones, only the new arc can be at fault, by not being an
         m-diagonal, by crossing another arc, or by duplicating one, which
-        leaves one arc too few.  The messages and their order are those of
-        a fresh object."""
+        leaves one arc too few; the model's rules follow through
+        ``_more_problems``.  The messages and their order are those of a
+        fresh object."""
         cfg = self.config
         out = [] if cfg.is_m_diagonal(new) else [f"{new} is not an m-diagonal"]
         # the r - 1 others (new itself is skipped), each pair in canonical order
@@ -237,7 +239,7 @@ class Angulation:
                 out.append(f"{a} crosses {b}")
         if len(self.arcs) != cfg.rank:
             out.append(f"{len(self.arcs)} {self._noun}, expected {cfg.rank}")
-        return tuple(out)
+        return self._more_problems(out)
 
     def is_valid(self) -> bool:
         return not self._problems

@@ -398,7 +398,9 @@ def check_annulus_maximal(
     that do not cross the bridge are exactly the arcs of the cut disk's
     diagonals.  So the candidates of a trial are the m-diagonals of the
     cut disk read back through ``BridgeCut.from_disk``; every trial cuts
-    to the same disk, whose m-diagonals are listed once.
+    to the same disk, whose m-diagonals are listed once.  The finished
+    set's ``is_valid()`` reads the cell rule by bridge residues, without
+    that cut.
     """
     with VerificationReport(f"maximal-sets {cfg}") as report:
         rng = random.Random(seed)

@@ -1,10 +1,11 @@
 """References for the cells, the twist and the quiver read, shared by the
 model and verify tests: the vertex-cycle region split, the region twist
-and the face-reading quiver that the arc-run cells replaced, and the arc
-pool of the annulus maximal-set trials; and every angulation of a disk,
+and the face-reading quiver that the arc-run cells replaced, the annulus
+cell rule read in a cut that the residue rule replaced, and the arc pool
+of the annulus maximal-set trials; and every angulation of a disk,
 decoded from the enumeration's keys."""
 
-from angulator.annulus import Bridge, InnerChord, OuterChord
+from angulator.annulus import Bridge, BridgeCut, InnerChord, OuterChord
 from angulator.disk import Diagonal, DiskAngulation, InvalidAngulation, enumerate_angulations
 from angulator.faces import cell_vertices
 from angulator.quiver import ColoredQuiver
@@ -86,6 +87,17 @@ def reference_cycles(sides, chords):
     """What ``cycles`` gives for the cells of a fresh split, by the
     reference split."""
     return sorted(least_rotation(r) for r in reference_split(range(1, sides + 1), chords))
+
+
+def reference_cell_problems(ang):
+    """The annulus cell rule as the cut along the least bridge reads it:
+    in arc order, the arcs whose diagonal is no m-diagonal of the cut
+    disk, named as ``violations()`` names them.  The arcs of ``ang`` must
+    be noncrossing and hold a bridge."""
+    ref = ang.bridges()[0]
+    cut = BridgeCut(ang.config, ref)
+    return [f"{a} is not an m-diagonal of the cut along {ref}"
+            for a in ang.arcs if a != ref and not cut.disk.is_m_diagonal(cut.to_disk(a))]
 
 
 def maximal_set_pool(cfg):

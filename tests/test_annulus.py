@@ -31,11 +31,12 @@ from angulator.disk import (
     crosses as disk_crosses,
 )
 from angulator.quiver import ColoredQuiver
-from angulator.verify import ANNULUS_MATRIX, random_walk
+from angulator.verify import ANNULUS_MATRIX, _maximal_pool, random_walk
 from regions import (
     cycles,
     maximal_set_pool,
     merged_region,
+    reference_cell_problems,
     reference_cycles,
     reference_quiver,
     region_twist,
@@ -557,6 +558,23 @@ def full_noncrossing_sets(cfg, rng, trials):
             yield chosen
 
 
+def pool_draws(cfg, rng, trials):
+    """Greedy sets of p+q pairwise noncrossing arcs of the maximal-set
+    pool, each starting from a bridge: plain noncrossing sets, with no
+    cell rule, so that some break it for m >= 2."""
+    pool = _maximal_pool(cfg)
+    bridge_count = sum(type(a) is Bridge for a in pool)
+    for _ in range(trials):
+        chosen = [pool[rng.randrange(bridge_count)]]
+        for a in rng.sample(pool, len(pool)):
+            if len(chosen) == cfg.rank:
+                break
+            if not any(a == b or crosses(cfg, a, b) for b in chosen):
+                chosen.append(a)
+        if len(chosen) == cfg.rank:
+            yield chosen
+
+
 class TestCellSizes:
     """An annulus angulation's cells must be (m+2)-gons, not only its arcs
     noncrossing and p+q in number."""
@@ -582,6 +600,48 @@ class TestCellSizes:
                 assert ang.is_valid() == local.is_valid()
                 outcomes[cfg.m].add(ang.is_valid())
         assert outcomes == {1: {True}, 2: {True, False}, 3: {True, False}}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_the_residue_rule_names_what_the_cut_names(self, m):
+        # noncrossing p+q sets holding a bridge, where nothing but the cell
+        # rule can be wrong: the bridges that the residue rule names are
+        # the arcs that the cut along the least bridge finds no m-diagonals
+        outcomes = set()
+        for p, q in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (1, 3)):
+            cfg = AnnulusConfig(m, p, q)
+            for arcs in pool_draws(cfg, random.Random(1), 400):
+                ang = AnnulusAngulation(cfg, arcs)
+                expected = reference_cell_problems(ang)
+                assert ang.violations() == expected
+                outcomes.add(not expected)
+        assert outcomes == ({True} if m == 1 else {True, False})
+
+    @pytest.mark.parametrize("cfg, arcs, valid", [
+        (C43, initial_bridges(C43).arcs, True),
+        (AnnulusConfig(2, 2, 2),
+         [Bridge(1, 2, 1), Bridge(1, 3, 0), Bridge(1, 3, 1), OuterChord(2, 3)], False),
+    ], ids=["valid", "two faults"])
+    def test_validation_makes_no_cut(self, monkeypatch, cfg, arcs, valid):
+        # a fresh angulation is checked without a BridgeCut; reading its
+        # cells makes the one cut it holds, and only if it is valid
+        cuts = []
+        init = BridgeCut.__init__
+
+        def counted_init(cut, *args):
+            cuts.append(args)
+            init(cut, *args)
+
+        monkeypatch.setattr(BridgeCut, "__init__", counted_init)
+        ang = AnnulusAngulation(cfg, arcs)
+        assert ang.is_valid() == valid
+        assert cuts == []
+        if valid:
+            ang.quiver_of()
+            assert len(cuts) == 1
+        else:
+            with pytest.raises(InvalidAngulation):
+                ang.quiver_of()
+            assert cuts == []
 
 
 class TestNonArcEntries:

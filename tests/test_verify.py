@@ -425,29 +425,40 @@ class TestFlipValidity:
         assert flipped.violations() == DiskAngulation(
             flipped.config, flipped.arcs).violations()
 
-    @pytest.mark.parametrize("wrong", ["crossing", "short"])
+    @pytest.mark.parametrize("wrong", ["crossing", "short", "other cut"])
     def test_a_wrong_disk_twist_makes_the_annulus_flip_invalid(self, monkeypatch, wrong):
-        ang = initial_bridges(AnnulusConfig(2, 2, 2))
-        x = ang.arcs[0]
-        # the view the flip at the least bridge x works in, built here
-        # without asking the angulation, which would keep the real twist
-        view = ang._cut_open(ang.bridges()[1])
-        others = [e for a, e in view.diagonal.items() if a != x]
-        if wrong == "crossing":
-            bad = next(d for d in view.cut.disk.all_diagonals()
-                       if any(disk.crosses(d, e) for e in others))
+        cfg = AnnulusConfig(2, 2, 2)
+        if wrong == "other cut":
+            # the flip at x works in the cut along B(O1,I3,0), and a fresh
+            # object reads its cells along its least bridge, B(O1,I2,1):
+            # the result names the two bridges and the cut a fresh one does
+            B = annulus.Bridge
+            x = B(1, 1, 1)
+            ang = AnnulusAngulation(cfg, [x, B(1, 3, 0), B(1, 3, 1), annulus.OuterChord(2, 3)])
+            bad = Diagonal(1, 7)
         else:
-            # a chord of the region around x that cuts off a triangle and
-            # stands for a bridge: it crosses nothing and is an m-diagonal
-            # of the annulus, but leaves cells that are not (m+2)-gons
-            region = merged_region(view.disk, view.diagonal[x])
-            bad = next(d for d in map(Diagonal, region, region[2:])
-                       if isinstance(view.cut.from_disk(d), annulus.Bridge))
-            assert not view.cut.disk.is_m_diagonal(bad)
+            ang = initial_bridges(cfg)
+            x = ang.arcs[0]
+            # the view the flip at the least bridge x works in, built here
+            # without asking the angulation, which would keep the real twist
+            view = ang._cut_open(ang.bridges()[1])
+            others = [e for a, e in view.diagonal.items() if a != x]
+            if wrong == "crossing":
+                bad = next(d for d in view.cut.disk.all_diagonals()
+                           if any(disk.crosses(d, e) for e in others))
+            else:
+                # a chord of the region around x that cuts off a triangle
+                # and stands for a bridge: it crosses nothing and is an
+                # m-diagonal of the annulus, but leaves cells that are not
+                # (m+2)-gons
+                region = merged_region(view.disk, view.diagonal[x])
+                bad = next(d for d in map(Diagonal, region, region[2:])
+                           if isinstance(view.cut.from_disk(d), annulus.Bridge))
+                assert not view.cut.disk.is_m_diagonal(bad)
         monkeypatch.setattr(DiskAngulation, "twist", lambda self, d: bad)
         flipped = ang.flip(x)
         assert not flipped.is_valid()
-        assert not AnnulusAngulation(flipped.config, flipped.arcs).is_valid()
+        assert flipped.violations() == AnnulusAngulation(cfg, flipped.arcs).violations()
 
 
 def counted(calls, name, fn):
