@@ -126,14 +126,19 @@ def random_walk(cfg, steps: int, seed: int):
 
     The arc is drawn among the positions that ``can_flip`` admits: every
     arc, except on annuli with m = 1, where a flip can leave the three-kind
-    arc model.  Each angulation is the flip result itself, so annulus
-    windings drift; arc order, flips and crossings do not depend on a
-    common winding shift, so the walk draws as it would in normal form.
+    arc model.  The walk builds each distinct angulation once: a flip
+    result equal to an angulation it has yielded is dropped, and the walk
+    goes on from that earlier object, so a revisit reuses the flips, the
+    quiver and the cuts it holds.  Equality compares windings, so annulus
+    windings still drift as flipped; arc order, flips and crossings do not
+    depend on a common winding shift, so the walk draws as it would in
+    normal form.
     """
     rng = random.Random(seed)
     start = disk.initial_fan if isinstance(cfg, DiskConfig) else ann.initial_bridges
-    angulation = start(cfg)
+    angulation, seen = start(cfg), {}
     for _ in range(steps):
+        angulation = seen.setdefault(angulation, angulation)
         flippable = [a for a in angulation.arcs if angulation.can_flip(a)]
         arc = flippable[rng.randrange(len(flippable))]
         yield angulation, arc
@@ -279,14 +284,17 @@ def check_gabriel(cfg: DiskConfig) -> VerificationReport:
     return report
 
 
-def _check_cut(report, angulation, arc, transport, pieces, pull_back=None):
+def _check_cut(report, angulation, arc, transport, pieces, built, pull_back=None):
     """The cases of cutting ``angulation`` along its arc ``arc``.
 
     ``transport`` sends every other arc to (piece, its arc there), and
     ``pieces`` maps a piece to its configuration: transport keeps the
     crossing relation and validity.  Given ``pull_back(piece, local arc)``,
     transport is also undone by it and commutes with flips of the arcs
-    that stay.  Returns {arc: (piece, piece configuration, local arc)}.
+    that stay: each piece is built afresh from its transported arcs, then
+    replaced by the equal angulation in ``built`` if it holds one (else
+    added to it), so a piece met again is validated and split no more.
+    Returns {arc: (piece, piece configuration, local arc)}.
     """
     cfg = angulation.config
     placed = {}
@@ -312,10 +320,10 @@ def _check_cut(report, angulation, arc, transport, pieces, pull_back=None):
     # the pieces are disks: the twist of an arc that stays, read in its
     # piece, pulls back to its twist (on an annulus this also exercises the
     # independence of the twist from the bridge chosen internally)
-    cut_up = {
-        piece: disk.DiskAngulation(piece_cfg, [v for p, _, v in placed.values() if p == piece])
-        for piece, piece_cfg in pieces.items()
-    }
+    cut_up = {}
+    for piece, piece_cfg in pieces.items():
+        fresh = disk.DiskAngulation(piece_cfg, [v for p, _, v in placed.values() if p == piece])
+        cut_up[piece] = built.setdefault(fresh, fresh)
     for a, (piece, _, local) in placed.items():
         if not angulation.can_flip(a):
             continue
@@ -328,26 +336,33 @@ def _check_cut(report, angulation, arc, transport, pieces, pull_back=None):
 
 def check_cut_transport(cfg, cases) -> VerificationReport:
     """Transport along cuts preserves validity and the crossing relation
-    and commutes with flips of arcs disjoint from the cut arc."""
+    and commutes with flips of arcs disjoint from the cut arc.
+
+    The angulations the cuts give, the pieces and the reduced annuli, are
+    built afresh from their transported arcs and then looked up in one
+    table per call: a walk revisits angulations, and an equal piece is
+    validated and split once."""
     with VerificationReport(f"cut-transport {cfg}") as report:
+        built = {}
         for angulation, _ in cases:
             ears = [a for a in angulation.arcs if cfg.is_m_ear(a)]
             if isinstance(cfg, DiskConfig):
                 cut = disk.cut_along(cfg, ears[0])
                 _check_cut(report, angulation, cut.chord, cut.transport,
-                           {1: cut.piece1, 2: cut.piece2}, cut.pull_back)
+                           {1: cut.piece1, 2: cut.piece2}, built, cut.pull_back)
                 continue
             cut = ann.cut_along(cfg, angulation.bridges()[0])
             _check_cut(report, angulation, cut.bridge, lambda a: (0, cut.to_disk(a)),
-                       {0: cut.disk}, lambda _, d: cut.from_disk(d))
+                       {0: cut.disk}, built, lambda _, d: cut.from_disk(d))
             if not ears:
                 continue
             res = ann.cut_along(cfg, ears[0])
             placed = _check_cut(report, angulation, res.chord, res.transport,
-                                {"annulus": res.annulus, "disk": res.disk})
+                                {"annulus": res.annulus, "disk": res.disk}, built)
             # the reduced arcs form an angulation of the smaller annulus
             reduced = ann.AnnulusAngulation(
                 res.annulus, [v for piece, _, v in placed.values() if piece == "annulus"])
+            reduced = built.setdefault(reduced, reduced)
             if not report.passes(reduced.is_valid()):
                 report.record(f"reduced angulation under cut {res.chord}", "[]",
                               repr(reduced.violations()))

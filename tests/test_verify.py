@@ -130,6 +130,36 @@ class TestWalks:
                 drifted += ang != ref
         assert drifted
 
+    @pytest.mark.parametrize("cfg", verify.DISK_MATRIX + ANNULUS_MATRIX, ids=repr)
+    def test_walk_steps_as_one_that_keeps_every_flip_result(self, cfg):
+        for seed in (0, 1, 2):
+            walked = [(repr(ang), arc) for ang, arc in random_walk(cfg, 200, seed)]
+            kept = [(repr(ang), arc) for ang, arc in flip_result_walk(cfg, 200, seed)]
+            assert walked == kept
+
+    @pytest.mark.parametrize("cfg", verify.DISK_MATRIX + ANNULUS_MATRIX, ids=repr)
+    def test_a_revisit_yields_the_object_of_the_first_visit(self, cfg):
+        revisits = 0
+        for seed in (0, 1, 2):
+            first = {}
+            for ang, _ in random_walk(cfg, 200, seed):
+                assert first.setdefault(ang, ang) is ang
+            revisits += 200 - len(first)
+        assert revisits
+
+
+def flip_result_walk(cfg, steps, seed):
+    """``random_walk`` without its revisit rule: every step goes on from
+    the flip result itself, a new object even where it equals an
+    angulation walked before."""
+    rng = random.Random(seed)
+    ang = initial_fan(cfg) if isinstance(cfg, DiskConfig) else initial_bridges(cfg)
+    for _ in range(steps):
+        flippable = [a for a in ang.arcs if ang.can_flip(a)]
+        arc = flippable[rng.randrange(len(flippable))]
+        yield ang, arc
+        ang = ang.flip(arc)
+
 
 def rebasing_walk(cfg, steps, seed):
     """``random_walk`` on an annulus as it was with a normal form: every
@@ -266,13 +296,15 @@ class TestIncrementalWalks:
 
         monkeypatch.setattr(cls, "flip", disk.once_per_arc(record))
         cases = list(random_walk(cfg, 12, 4))
-        assert len(computed) == 12
+        # one flip per position the walk stands at; a revisit flips nothing
+        positions = len({(id(ang), arc) for ang, arc in cases})
+        assert len(computed) == positions
         assert check_flip_mutation(cases).passed
-        assert len(computed) == 12
+        assert len(computed) == positions
         assert check_flip_cycle(cases).passed
         # the cycles flip anew, but never a case's own position, and never
         # one position twice
-        cycle = computed[12:]
+        cycle = computed[positions:]
         assert cycle
         assert not any(obj is ang and x == arc for obj, x in cycle for ang, arc in cases)
         assert len({(id(obj), x) for obj, x in cycle}) == len(cycle)
@@ -293,16 +325,29 @@ class TestIncrementalWalks:
         for cls in (DiskAngulation, AnnulusAngulation):
             monkeypatch.setattr(cls, "_read_quiver", logged(read, cls._read_quiver))
         monkeypatch.setattr(ColoredQuiver, "_mutated", logged(mutated, ColoredQuiver._mutated))
+        walks, walk = [], verify.random_walk
+
+        def recorded(*args):
+            walks.append(list(walk(*args)))
+            return walks[-1]
+
+        monkeypatch.setattr(verify, "random_walk", recorded)
         is_disk = isinstance(cfg, DiskConfig)
         monkeypatch.setattr(verify, "DISK_MATRIX", [cfg] if is_disk else [])
         monkeypatch.setattr(verify, "ANNULUS_MATRIX", [] if is_disk else [cfg])
         assert all(report.passed for report in run_suite("compat", 4, steps=12))
-        # the 12 walked angulations and the last flip result, each read
-        # from its faces once; each walked quiver mutated once, at one vertex
-        assert calls == {"faces": 13} and len(read) == 13
-        assert len({id(obj) for obj, in read}) == 13
-        assert len(mutated) == 12
-        assert len({id(q) for q, _ in mutated}) == 12
+        # each distinct walked angulation and each flip result the walk
+        # did not go on from (the last, and those equal to an earlier
+        # step), read from its faces once; each walked quiver mutated
+        # once at each vertex its steps flip
+        (cases,) = walks
+        walked = {id(ang) for ang, _ in cases}
+        objects = walked | {id(ang.flip(arc)) for ang, arc in cases}
+        vertices = {(id(ang.quiver_of()), ang.arcs.index(arc)) for ang, arc in cases}
+        assert calls == {"faces": len(objects)} and len(read) == len(objects)
+        assert {id(obj) for obj, in read} == objects
+        assert len(mutated) == len(vertices)
+        assert len({id(q) for q, _ in mutated}) == len(walked)
 
     @pytest.mark.parametrize("cfg", WALKED_DISKS + ANNULUS_MATRIX, ids=repr)
     def test_quiver_in_an_order_is_the_faces_read_in_that_order(self, cfg):
@@ -341,9 +386,32 @@ class TestIncrementalWalks:
         monkeypatch.setattr(AnnulusAngulation, "flip", disk.once_per_arc(
             counted(calls, "flip", AnnulusAngulation.flip.__wrapped__)))
         cases = list(random_walk(cfg, 12, 4))
-        # the check reads every new arc from twist and flips nothing
+        # the walk flips once per position it stands at; the check reads
+        # every new arc from twist and flips nothing
         assert check_cut_transport(cfg, cases).passed
-        assert calls == {"flip": 12}
+        assert calls == {"flip": len({(id(ang), arc) for ang, arc in cases})}
+
+    def test_cut_check_splits_each_distinct_piece_once(self, monkeypatch):
+        # the pieces of a walk that revisits angulations: each distinct
+        # one that holds an arc is split once, for its twists.  Every
+        # walked disk holds its twist table already, so the spy counts
+        # piece splits only
+        cfg = DiskConfig(1, 6)
+        cases = list(random_walk(cfg, 40, 0))
+        pieces = []
+        for ang, _ in cases:
+            cut = disk.cut_along(cfg, next(a for a in ang.arcs if cfg.is_m_ear(a)))
+            placed = [cut.transport(a) for a in ang.arcs if a != cut.chord]
+            for piece, piece_cfg in ((1, cut.piece1), (2, cut.piece2)):
+                arcs = frozenset(local for p, local in placed if p == piece)
+                if arcs:
+                    pieces.append((piece_cfg, arcs))
+        assert len(set(pieces)) < len(pieces)
+        calls = {}
+        monkeypatch.setattr(disk, "split_regions",
+                            counted(calls, "split", disk.split_regions))
+        assert check_cut_transport(cfg, cases).passed
+        assert calls == {"split": len(set(pieces))}
 
     @pytest.mark.parametrize("cfg", [c for c in ANNULUS_MATRIX if c.m >= 2], ids=repr)
     def test_can_flip_every_arc_without_a_cut(self, monkeypatch, cfg):
