@@ -396,6 +396,29 @@ def _compatible_ids(cut: ann.BridgeCut, diagonals, ids) -> set[int]:
     return {ids[a] for a in arcs if a in ids}
 
 
+def _drawn(rng: random.Random, n: int, keep) -> list[int]:
+    """The ids in ``keep`` in the order ``rng.sample(range(n), n)`` lists
+    them, leaving ``rng`` where that call leaves it.
+
+    This is the pool-swap loop ``Random.sample`` runs for a whole
+    population, with its ``_randbelow`` draw inlined: ``k`` bits from
+    ``getrandbits`` until the value is below the pool size.  The other ids
+    are swapped as ``sample`` swaps them, but not listed."""
+    getrandbits = rng.getrandbits
+    pool = list(range(n))
+    kept = []
+    for size in range(n, 0, -1):
+        k = size.bit_length()
+        r = getrandbits(k)
+        while r >= size:
+            r = getrandbits(k)
+        idx = pool[r]
+        pool[r] = pool[size - 1]
+        if idx in keep:
+            kept.append(idx)
+    return kept
+
+
 def check_annulus_maximal(
     cfg: ann.AnnulusConfig, trials: int, seed: int
 ) -> VerificationReport:
@@ -416,6 +439,11 @@ def check_annulus_maximal(
     to the same disk, whose m-diagonals are listed once.  The finished
     set's ``is_valid()`` reads the cell rule by bridge residues, without
     that cut.
+
+    A trial draws the order of the whole pool as
+    ``rng.sample(range(len(pool)), len(pool))`` draws it, and keeps only
+    the candidates (``_drawn``), so the generator moves exactly as that
+    call moves it.
     """
     with VerificationReport(f"maximal-sets {cfg}") as report:
         rng = random.Random(seed)
@@ -427,17 +455,14 @@ def check_annulus_maximal(
             bridge = ann.Bridge(rng.randrange(1, cfg.outer_len + 1),
                                 rng.randrange(1, cfg.inner_len + 1),
                                 rng.randrange(-1, 2))
-            order = rng.sample(range(len(pool)), len(pool))
             candidates = _compatible_ids(ann.BridgeCut(cfg, bridge), diagonals, ids)
             # the candidates in the order drawn, each against the arcs
             # chosen before it.  As an arc crossing a chosen arc still
             # crosses it later, every rejection is final: one pass over
-            # ``order`` adds all that passes repeated until none adds an
-            # arc would.
+            # the drawn order adds all that passes repeated until none
+            # adds an arc would.
             later = []
-            for idx in order:
-                if idx not in candidates:
-                    continue
+            for idx in _drawn(rng, len(pool), candidates):
                 arc = pool[idx]
                 for other in later:
                     if crosses(cfg, arc, other):

@@ -758,6 +758,21 @@ MAXIMAL_SET_ANNULI = ANNULUS_MATRIX + [
 
 
 class TestAnnulusMaximal:
+    def test_drawn_order_is_random_sample(self):
+        # the helper against the stdlib on the running Python: the kept
+        # ids in sample's order and the generator left in the same state,
+        # at sizes on both sides of each bit length the trials meet (1,044
+        # is the (2,4,3) pool)
+        sizes = [*range(1, 71), 127, 128, 129, 1023, 1024, 1025, 1044,
+                 2047, 2048, 2049]
+        for n, seed in itertools.product(sizes, (0, 1, 29)):
+            for keep in (set(), set(range(n)), set(range(0, n, 3))):
+                rng, ref = random.Random(seed), random.Random(seed)
+                expected = [i for i in ref.sample(range(n), n) if i in keep]
+                assert verify._drawn(rng, n, keep) == expected, (n, seed)
+                assert rng.getstate() == ref.getstate(), (n, seed)
+                assert rng.randrange(-1, 2) == ref.randrange(-1, 2)
+
     @pytest.mark.parametrize("cfg", MAXIMAL_SET_ANNULI, ids=repr)
     def test_chosen_sets_equal_the_reference(self, monkeypatch, cfg):
         for seed in range(4):
