@@ -447,11 +447,10 @@ class DiskAngulation(Angulation):
 
     def _read_quiver(self) -> ColoredQuiver:
         self._require_valid()
-        # without diagonals the quiver is empty: split no polygon for it
         cfg = self.config
         return quiver_from_faces(
             cfg.m, len(self.arcs), cfg.sides, {d: i for i, d in enumerate(self.arcs)},
-            {}, self._faces if self.arcs else (),
+            {}, self._faces,
         )
 
     def to_json_dict(self) -> dict:

@@ -209,7 +209,7 @@ def check_axioms(cases, suite="axioms") -> VerificationReport:
 
 class DiskOracles:
     """The flip-free oracles of one disk configuration, each run at most
-    once and shared by all the reports of a ``run_suite`` call.  The
+    once and shared by the reports of that disk's pass in ``run_suite``.  The
     enumeration and the flip graph hold each angulation as its key (see
     ``DiskConfig.crossing_table``); only the compat cases decode theirs,
     by ``DiskAngulation.from_key``."""
@@ -488,41 +488,39 @@ def run_suite(
     steps: int = 500,
     guard: int = DEFAULT_GUARD,
 ) -> list[VerificationReport]:
-    """Run one named suite (or all) over the built-in matrix."""
+    """Run one named suite (or all) over the built-in matrix, in one pass
+    per configuration: its reports read one ``DiskOracles`` (disks only)
+    and at most one walk, and nothing outlives it.  The reports are listed
+    suite by suite (compat, counts, cut), each in matrix order."""
     if suite not in ("all", "compat", "counts", "cut"):
         raise ValueError(f"unknown suite {suite!r}")
-    reports = []
-    configs = DISK_MATRIX + ANNULUS_MATRIX
-    # one store per disk, released after the last report that reads it
-    stores = {cfg: DiskOracles(cfg, guard) for cfg in DISK_MATRIX}
-    if suite in ("compat", "all"):
-        for cfg in configs:
-            oracles = stores.get(cfg) if suite == "all" else stores.pop(cfg, None)
-            if oracles is None or fuss_catalan(cfg.m, cfg.rank + 1) > COMPAT_ENUM_CAP:
-                cases = list(random_walk(cfg, steps, seed))
-            else:  # every angulation of a small disk with every diagonal
+    compat, counts, cut = [], [], []
+    cut_steps = min(steps, 200)
+    for cfg in DISK_MATRIX + ANNULUS_MATRIX:
+        is_disk = isinstance(cfg, DiskConfig)
+        oracles = DiskOracles(cfg, guard) if is_disk else None
+        walk = None
+        if suite in ("compat", "all"):
+            if is_disk and fuss_catalan(cfg.m, cfg.rank + 1) <= COMPAT_ENUM_CAP:
+                # every angulation of a small disk with every diagonal
                 angulations = [disk.DiskAngulation.from_key(cfg, k)
                                for k in oracles.enumerated[1]]
                 cases = [(a, d) for a in angulations for d in a.arcs]
-            label = f"m={cfg.m} " + (
-                f"S={cfg.sides}" if isinstance(cfg, DiskConfig)
-                else f"(p,q)=({cfg.p},{cfg.q})"
-            )
-            reports.append(check_flip_mutation(cases, f"flip-mutation {label}"))
-            reports.append(check_flip_cycle(cases, f"flip-cycle {label}"))
-            reports.append(check_axioms(cases, f"axioms {label}"))
-    if suite in ("counts", "all"):
-        for cfg in DISK_MATRIX:
-            oracles = stores.pop(cfg)
-            reports.append(check_counts(oracles))
-            reports.append(check_connectivity(oracles))
-            reports.append(check_gabriel(cfg))
-        for cfg in ANNULUS_MATRIX:
-            reports.append(
-                check_annulus_maximal(cfg, trials=max(1, steps // 5), seed=seed)
-            )
-    if suite in ("cut", "all"):
-        for cfg in configs:
-            cases = list(random_walk(cfg, min(steps, 200), seed))
-            reports.append(check_cut_transport(cfg, cases))
-    return reports
+            else:
+                cases = walk = list(random_walk(cfg, steps, seed))
+            label = f"m={cfg.m} " + (f"S={cfg.sides}" if is_disk else f"(p,q)=({cfg.p},{cfg.q})")
+            compat += [check_flip_mutation(cases, f"flip-mutation {label}"),
+                       check_flip_cycle(cases, f"flip-cycle {label}"),
+                       check_axioms(cases, f"axioms {label}")]
+        if suite in ("counts", "all") and is_disk:
+            counts += [check_counts(oracles), check_connectivity(oracles),
+                       check_gabriel(cfg)]
+        elif suite in ("counts", "all"):
+            counts.append(check_annulus_maximal(cfg, trials=max(1, steps // 5), seed=seed))
+        if suite in ("cut", "all"):
+            # a seeded walk's draws depend only on the arcs it stands at,
+            # so the compat walk's first steps are the cut walk, step for step
+            if walk is None:
+                walk = list(random_walk(cfg, cut_steps, seed))
+            cut.append(check_cut_transport(cfg, walk[:cut_steps]))
+    return compat + counts + cut

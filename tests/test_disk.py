@@ -440,10 +440,6 @@ class TestTwistFlip:
             pentagon_fan().flip(Diagonal(2, 4))
 
 
-def refuse(*args, **kwargs):
-    raise AssertionError("built faces it did not need")
-
-
 def table_cells(ang):
     """The twist table with each entry's cell read from the entry's run:
     its runs rotated to start there."""
@@ -628,10 +624,13 @@ class TestQuiverOf:
         q = octagon_fan().quiver_of()
         assert dict(q.arrows()) == {(0, 1, 2): 1, (1, 0, 0): 1}
 
-    def test_rank_zero_builds_no_face(self, monkeypatch):
-        monkeypatch.setattr(disk, "split_regions", refuse)
-        ang = DiskAngulation(DiskConfig(3, 5), [])
-        assert ang.quiver_of() == ColoredQuiver(3, 0)
+    @pytest.mark.parametrize("m", [1, 2, 3, 10**6])
+    def test_rank_zero_quiver_is_empty(self, m):
+        # the one cell of a disk without diagonals is empty: the whole
+        # (m+2)-gon, read as such, with no arc and so no arrow
+        ang = DiskAngulation(DiskConfig(m, m + 2), [])
+        assert ang._faces == ((),)
+        assert ang.quiver_of() == ColoredQuiver(m, 0)
 
     def test_single_diagonal_no_arrows(self):
         q = initial_fan(DiskConfig(2, 6)).quiver_of()

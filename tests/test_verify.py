@@ -1066,3 +1066,38 @@ class TestRunSuite:
         a = [r.to_json_dict(include_elapsed=False) for r in run_suite("cut", seed=3, steps=4)]
         b = [r.to_json_dict(include_elapsed=False) for r in run_suite("cut", seed=3, steps=4)]
         assert a == b
+
+    def test_each_configuration_is_walked_once(self, monkeypatch):
+        # compat walks (1,9) and the annuli, and their cut reports read the
+        # first 200 steps of those walks; (1,6) is enumerated, so only cut
+        # walks it
+        steps = 201
+        enumerated, walked = DiskConfig(1, 6), DiskConfig(1, 9)
+        annuli = [AnnulusConfig(1, 2, 1), AnnulusConfig(2, 2, 2)]
+        monkeypatch.setattr(verify, "DISK_MATRIX", [enumerated, walked])
+        monkeypatch.setattr(verify, "ANNULUS_MATRIX", annuli)
+        walks, walk, cut, check_cut = [], verify.random_walk, {}, verify.check_cut_transport
+
+        def recorded(cfg, n, seed):
+            walks.append((cfg, n, list(walk(cfg, n, seed))))
+            return walks[-1][2]
+
+        def cut_read(cfg, cases):
+            cut[cfg] = cases
+            return check_cut(cfg, cases)
+
+        monkeypatch.setattr(verify, "random_walk", recorded)
+        monkeypatch.setattr(verify, "check_cut_transport", cut_read)
+        assert all(r.passed for r in run_suite("all", seed=3, steps=steps))
+        assert [(cfg, n) for cfg, n, _ in walks] == [
+            (enumerated, 200), (walked, steps), *((cfg, steps) for cfg in annuli)]
+        for cfg, _, cases in walks:
+            assert len(cut[cfg]) == 200
+            assert all(a is b and x == y for (a, x), (b, y) in zip(cut[cfg], cases))
+            fresh = [(repr(a), x) for a, x in walk(cfg, 200, 3)]
+            assert [(repr(a), x) for a, x in cut[cfg]] == fresh
+        # the cut suite alone still walks 200 steps on every configuration
+        walks.clear()
+        run_suite("cut", seed=3, steps=steps)
+        assert [(cfg, n) for cfg, n, _ in walks] == [
+            (cfg, 200) for cfg in (enumerated, walked, *annuli)]
